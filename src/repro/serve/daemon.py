@@ -302,11 +302,26 @@ class _Handler(BaseHTTPRequestHandler):
     server_version = "repro-serve/1"
     #: Idle keep-alive connections time out so drain never waits on them.
     timeout = 30
+    #: Every response leaves the socket at once.  With the stdlib
+    #: defaults (unbuffered ``wfile``, Nagle on) headers and body go out
+    #: as two writes, and Nagle holds the body until the client's delayed
+    #: ACK of the headers: ~40 ms on Linux, on every response.  Buffering
+    #: ``wfile`` joins headers and body into the one flush
+    #: ``handle_one_request`` already does; ``TCP_NODELAY`` keeps a body
+    #: larger than the 8 KiB buffer (a ``/batch``) from the same stall.
+    disable_nagle_algorithm = True
+    wbufsize = -1
 
     # The default handler logs every request to stderr; the daemon's
     # request log is the trace stream instead.
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         """Silence the default per-request stderr log."""
+
+    def handle_expect_100(self) -> bool:
+        """Flush ``100 Continue`` before the body is read (``wfile`` buffers)."""
+        proceed = super().handle_expect_100()
+        self.wfile.flush()
+        return proceed
 
     @property
     def service(self) -> CompileService:
@@ -327,7 +342,7 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         for key, value in (extra or {}).items():
             self.send_header(key, value)
-        if self.service.draining:
+        if self.close_connection or self.service.draining:
             self.send_header("Connection", "close")
             self.close_connection = True
         self.end_headers()
@@ -341,7 +356,17 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_json(code, {"error": message})
 
     def _read_body(self) -> Optional[Dict]:
-        length = int(self.headers.get("Content-Length", 0) or 0)
+        header = self.headers.get("Content-Length", "0") or "0"
+        try:
+            length = int(header)
+        except ValueError:
+            length = -1
+        if length < 0:
+            # The body's extent is unknown, so the connection cannot be
+            # reused: answer and close instead of reading to EOF.
+            self.close_connection = True
+            self._send_error_json(400, f"invalid Content-Length {header!r}")
+            return None
         raw = self.rfile.read(length) if length else b""
         if not raw:
             self._send_error_json(400, "empty request body")

@@ -126,6 +126,9 @@ def run_phase(
 
     Each client thread owns one keep-alive connection and pulls from a
     shared cursor, so the offered concurrency is exactly ``clients``.
+    Every thread connects before the phase clock starts, so the
+    percentiles and throughput measure keep-alive requests, not the
+    daemon accepting a burst of ``clients`` connections at once.
     429 rejections count separately and are retried (with a short
     backoff) when ``retry_rejected`` — the load must eventually land so
     hit-rate accounting stays exact.
@@ -133,10 +136,16 @@ def run_phase(
     result = PhaseResult(name=name)
     lock = threading.Lock()
     cursor = iter(range(len(requests)))
+    threads_count = max(1, clients)
+    connected = threading.Barrier(threads_count + 1)
 
-    def worker() -> None:
-        client = ServeClient(url)
+    def worker(client: ServeClient) -> None:
         try:
+            try:
+                client.connect()
+            except OSError:
+                pass  # the first request reconnects and counts any failure
+            connected.wait()
             while True:
                 with lock:
                     index = next(cursor, None)
@@ -171,13 +180,18 @@ def run_phase(
             client.close()
 
     result.requests = len(requests)
+    # Clients are built here, so a bad URL raises before any thread
+    # could leave the barrier short of a party.
     threads = [
-        threading.Thread(target=worker, name=f"loadgen-{name}-{i}")
-        for i in range(max(1, clients))
+        threading.Thread(
+            target=worker, args=(ServeClient(url),), name=f"loadgen-{name}-{i}"
+        )
+        for i in range(threads_count)
     ]
-    started = time.perf_counter()
     for thread in threads:
         thread.start()
+    connected.wait()
+    started = time.perf_counter()
     for thread in threads:
         thread.join()
     result.wall_seconds = time.perf_counter() - started

@@ -7,7 +7,10 @@ a real worker process to kill.
 """
 
 import json
+import socket
+import statistics
 import threading
+import time
 
 import pytest
 
@@ -41,6 +44,23 @@ def daemon(tmp_path):
     instance = make_daemon(tmp_path)
     yield instance
     instance.stop()
+
+
+def raw_exchange(daemon, request: str):
+    """Send raw request bytes; read until the daemon closes (or 5 s pass).
+
+    Returns the response ``(head, body)`` as text.
+    """
+    chunks = []
+    with socket.create_connection((daemon.host, daemon.port), 5) as sock:
+        sock.sendall(request.encode())
+        while True:
+            chunk = sock.recv(4096)
+            if not chunk:
+                break
+            chunks.append(chunk)
+    head, _, body = b"".join(chunks).decode().partition("\r\n\r\n")
+    return head, body
 
 
 class TestHttpSurface:
@@ -88,11 +108,69 @@ class TestHttpSurface:
                 client._json_or_raise(*client._request("GET", "/nope")[:2])
         assert excinfo.value.status == 404
 
+    @pytest.mark.parametrize("length", ["abc", "-1"])
+    def test_malformed_content_length_is_400_and_close(self, daemon, length):
+        head, body = raw_exchange(
+            daemon,
+            "POST /compile HTTP/1.1\r\nHost: x\r\n"
+            f"Content-Length: {length}\r\n\r\n{{}}",
+        )
+        assert head.startswith("HTTP/1.1 400 ")
+        assert "Connection: close" in head
+        assert "invalid Content-Length" in json.loads(body)["error"]
+        # The daemon keeps serving.
+        with ServeClient(daemon.url) as client:
+            assert client.healthz() == {"status": "ok"}
+
+    def test_expect_100_continue_is_answered_before_the_body(self, daemon):
+        body = json.dumps(TINY).encode()
+        with socket.create_connection((daemon.host, daemon.port), 5) as sock:
+            sock.sendall(
+                "POST /compile HTTP/1.1\r\nHost: x\r\n"
+                f"Content-Length: {len(body)}\r\n"
+                "Expect: 100-continue\r\n\r\n".encode()
+            )
+            interim = sock.recv(4096)
+            assert interim.startswith(b"HTTP/1.1 100 ")
+            sock.sendall(body)
+            reply = sock.recv(4096)
+        assert reply.startswith(b"HTTP/1.1 200 ")
+
     def test_debug_hooks_ignored_without_flag(self, daemon):
         """A daemon without --allow-debug-hooks treats debug as inert."""
         with ServeClient(daemon.url) as client:
             artifact = client.compile({**TINY, "debug": {"sleep_ms": 10}})
         assert artifact["request"].get("debug") is None
+
+
+class TestResponseLatency:
+    """No response waits on the client's delayed ACK (a >= 40 ms stall)."""
+
+    REPEATS = 20
+
+    def median_ms(self, call) -> float:
+        samples = []
+        for _ in range(self.REPEATS):
+            started = time.perf_counter()
+            call()
+            samples.append((time.perf_counter() - started) * 1000.0)
+        return statistics.median(samples)
+
+    def test_keepalive_responses_are_not_delayed(self, daemon):
+        def bad_request():
+            with pytest.raises(ServeResponseError):
+                client.compile({"app": "doom"})
+
+        with ServeClient(daemon.url) as client:
+            client.compile_raw(dict(TINY))  # populate the store
+            medians = {
+                "hit": self.median_ms(lambda: client.compile_raw(dict(TINY))),
+                "error": self.median_ms(bad_request),
+                "stats": self.median_ms(client.stats),
+                # ~10 KB: larger than the handler's write buffer.
+                "batch": self.median_ms(lambda: client.batch([dict(TINY)] * 10)),
+            }
+        assert all(ms < 20.0 for ms in medians.values()), medians
 
 
 class TestSingleFlight:

@@ -9,6 +9,7 @@ from repro.serve.loadgen import (
     PhaseResult,
     main,
     run_load,
+    run_phase,
     synthetic_request,
     verify_identity,
 )
@@ -71,6 +72,22 @@ class TestRunLoad:
     def test_identity_verification(self, daemon):
         run_load(daemon.url, total_requests=2, unique=1, clients=1)
         verify_identity(daemon.url, synthetic_request(0))
+
+    def test_more_clients_than_requests(self, daemon):
+        """Idle clients connect, wait for the clock, then find no work."""
+        requests = [synthetic_request(0), synthetic_request(1)]
+        result = run_phase(daemon.url, "cold", requests, clients=6)
+        assert result.requests == 2
+        assert len(result.latencies_ms) == 2
+        assert (result.errors, result.rejected) == (0, 0)
+        assert result.wall_seconds > 0
+        assert daemon.service.stats()["requests"] == 2
+
+    def test_bad_url_raises_before_any_client_starts(self):
+        from repro.errors import ServeError
+
+        with pytest.raises(ServeError, match="unsupported daemon URL"):
+            run_phase("ftp://host", "cold", [synthetic_request(0)], clients=3)
 
     def test_rejects_bad_shape(self, daemon):
         from repro.errors import ServeError
