@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import List
+from typing import List, Optional
 
 from repro.errors import ConfigurationError
 
@@ -51,29 +51,38 @@ class SetAssocCache:
         # on every call.
         self._set_count = config.set_count
         self._assoc = config.associativity
-        # One OrderedDict per set: keys are block numbers, order is recency
-        # (last item = most recently used).
-        self._sets: List["OrderedDict[int, None]"] = [
-            OrderedDict() for _ in range(self._set_count)
-        ]
+        # One OrderedDict per set, created on the set's first fill (None
+        # until then): keys are block numbers, order is recency (last item =
+        # most recently used).  A 16x16 mesh has 266k sets per cache system
+        # and a compile touches few of them.
+        self._sets: List[Optional["OrderedDict[int, None]"]] = [None] * self._set_count
         self.hits = 0
         self.misses = 0
         self.evictions = 0
 
     def _set_of(self, block: int) -> "OrderedDict[int, None]":
-        return self._sets[block % self._set_count]
+        """The set ``block`` maps to, created if this is its first fill."""
+        index = block % self._set_count
+        cache_set = self._sets[index]
+        if cache_set is None:
+            cache_set = self._sets[index] = OrderedDict()
+        return cache_set
 
     def contains(self, block: int) -> bool:
         """Non-mutating lookup (does not touch LRU state or counters)."""
-        return block in self._sets[block % self._set_count]
+        cache_set = self._sets[block % self._set_count]
+        return cache_set is not None and block in cache_set
 
     def access(self, block: int) -> bool:
         """Access ``block``: returns True on hit.  Misses fill the block.
 
         Fills evict the LRU way when the set is full.
         """
-        cache_set = self._sets[block % self._set_count]
-        if block in cache_set:
+        index = block % self._set_count
+        cache_set = self._sets[index]
+        if cache_set is None:
+            cache_set = self._sets[index] = OrderedDict()
+        elif block in cache_set:
             cache_set.move_to_end(block)
             self.hits += 1
             return True
@@ -83,10 +92,6 @@ class SetAssocCache:
             self.evictions += 1
         cache_set[block] = None
         return False
-
-    def peek_then_access(self, block: int) -> bool:
-        """Alias of :meth:`access`; kept for call-site readability."""
-        return self.access(block)
 
     def fill(self, block: int) -> None:
         """Install ``block`` without counting an access (e.g. a push/forward)."""
@@ -98,8 +103,8 @@ class SetAssocCache:
 
     def invalidate(self, block: int) -> bool:
         """Drop ``block`` if present; returns True when something was dropped."""
-        cache_set = self._set_of(block)
-        if block in cache_set:
+        cache_set = self._sets[block % self._set_count]
+        if cache_set is not None and block in cache_set:
             del cache_set[block]
             return True
         return False
@@ -124,7 +129,8 @@ class SetAssocCache:
         """All blocks currently cached (unspecified order across sets)."""
         blocks: List[int] = []
         for cache_set in self._sets:
-            blocks.extend(cache_set.keys())
+            if cache_set is not None:
+                blocks.extend(cache_set.keys())
         return blocks
 
     def reset_stats(self) -> None:
@@ -133,6 +139,5 @@ class SetAssocCache:
         self.evictions = 0
 
     def clear(self) -> None:
-        for cache_set in self._sets:
-            cache_set.clear()
+        self._sets = [None] * self._set_count
         self.reset_stats()

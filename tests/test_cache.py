@@ -6,10 +6,16 @@ from repro.cache.hierarchy import CacheSystem
 from repro.cache.predictor import HitMissPredictor
 from repro.cache.sram import CacheConfig, SetAssocCache
 from repro.errors import ConfigurationError
+from repro.experiments.common import paper_machine
 
 
 def tiny_cache(capacity=512, assoc=2, line=64):
     return SetAssocCache(CacheConfig(capacity, assoc, line))
+
+
+def materialized_sets(cache):
+    """Sets ``cache`` has allocated; the others are still ``None`` slots."""
+    return sum(cache_set is not None for cache_set in cache._sets)
 
 
 class TestCacheConfig:
@@ -156,6 +162,33 @@ class TestCacheSystem:
         system.load(0, 1, 0)
         system.clear()
         assert not system.l1s[0].contains(1)
+
+
+class TestCacheSetAllocation:
+    """A set is allocated on its first fill, never up front."""
+
+    def test_mesh16_system_allocates_sets_on_first_fill(self):
+        machine = paper_machine(mesh_cols=16, mesh_rows=16)
+        system = CacheSystem(
+            machine.node_count,
+            machine.l1_config,
+            machine.l2_config,
+            machine.bank_to_node,
+        )
+        caches = system.l1s + system.l2_banks
+        assert sum(cache.config.set_count for cache in caches) == 266_240
+        assert all(materialized_sets(cache) == 0 for cache in caches)
+        # Lookups and invalidations of absent blocks allocate nothing.
+        assert not system.l1s[0].contains(7)
+        assert not system.l2_banks[0].invalidate(7)
+        assert materialized_sets(system.l1s[0]) == 0
+        assert materialized_sets(system.l2_banks[0]) == 0
+        for k, block in enumerate(range(0, 40 * 1021, 1021), start=1):
+            system.load(k % 3, block, home_bank=block % 2)
+            assert all(materialized_sets(cache) <= k for cache in caches)
+        assert sum(materialized_sets(cache) for cache in caches) <= 2 * 40
+        system.clear()
+        assert all(materialized_sets(cache) == 0 for cache in caches)
 
 
 class TestHitMissPredictor:

@@ -2,6 +2,7 @@
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule, run_state_machine_as_test
 
 from repro.cache.sram import CacheConfig, SetAssocCache
 from repro.core.mst import kruskal, tree_weight
@@ -105,7 +106,98 @@ class TestPageAllocatorProperties:
                 frames[page] = frame
 
 
+class _ReferenceLRU:
+    """Per-set true-LRU model on plain lists (index 0 = least recent)."""
+
+    def __init__(self, set_count, ways):
+        self.set_count = set_count
+        self.ways = ways
+        self.clear()
+
+    def clear(self):
+        self.sets = [[] for _ in range(self.set_count)]
+        self.hits = self.misses = self.evictions = 0
+
+    def _touch(self, block):
+        ways = self.sets[block % self.set_count]
+        if block in ways:
+            ways.remove(block)
+            ways.append(block)
+            return True
+        if len(ways) == self.ways:
+            ways.pop(0)
+            self.evictions += 1
+        ways.append(block)
+        return False
+
+    def access(self, block):
+        hit = self._touch(block)
+        if hit:
+            self.hits += 1
+        else:
+            self.misses += 1
+        return hit
+
+    def contains(self, block):
+        return block in self.sets[block % self.set_count]
+
+    def fill(self, block):
+        self._touch(block)
+
+    def invalidate(self, block):
+        ways = self.sets[block % self.set_count]
+        if block in ways:
+            ways.remove(block)
+            return True
+        return False
+
+    def resident_blocks(self):
+        return [block for ways in self.sets for block in ways]
+
+
+#: 1024 sets of 4 ways.  Half the drawn blocks crowd two sets, so those
+#: sets overflow and evict; the rest scatter over the whole index range.
+_DIFF_CONFIG = CacheConfig(1 << 18, 4, 64)
+_diff_blocks = st.builds(
+    lambda index, tag: index + _DIFF_CONFIG.set_count * tag,
+    st.one_of(st.integers(0, 1), st.integers(0, _DIFF_CONFIG.set_count - 1)),
+    st.integers(0, 7),
+)
+#: Call mix: ``clear`` is one draw in 16, so most runs overflow the hot
+#: sets between clears.
+_cache_calls = st.sampled_from(
+    ["access"] * 6 + ["contains"] * 3 + ["fill"] * 3 + ["invalidate"] * 3 + ["clear"]
+)
+
+
+class _CacheVsModel(RuleBasedStateMachine):
+    """Drives a many-set cache and the list model through the same calls."""
+
+    def __init__(self):
+        super().__init__()
+        self.cache = SetAssocCache(_DIFF_CONFIG)
+        self.model = _ReferenceLRU(_DIFF_CONFIG.set_count, _DIFF_CONFIG.associativity)
+
+    @rule(op=_cache_calls, block=_diff_blocks)
+    def call(self, op, block):
+        args = () if op == "clear" else (block,)
+        assert getattr(self.cache, op)(*args) == getattr(self.model, op)(*args)
+
+    @invariant()
+    def same_state(self):
+        assert (self.cache.hits, self.cache.misses, self.cache.evictions) == (
+            self.model.hits, self.model.misses, self.model.evictions
+        )
+        assert sorted(self.cache.resident_blocks()) == sorted(self.model.resident_blocks())
+
+
 class TestCacheProperties:
+    def test_matches_list_lru_model(self):
+        run_state_machine_as_test(
+            _CacheVsModel,
+            settings=settings(max_examples=40, stateful_step_count=120, deadline=None),
+        )
+
     @given(st.lists(st.integers(0, 200), min_size=1, max_size=300))
     @settings(max_examples=40, deadline=None)
     def test_counters_consistent(self, blocks):
