@@ -35,6 +35,15 @@ from repro.ir.program import Program
 from repro.utils.stats import mean
 
 
+#: Leading statement instances the profiling steps read: the array access
+#: counts, and per nest the statement profiles behind the split plan.
+PROFILE_INSTANCES = 4000
+
+#: Leading statement instances of the default execution trace that train
+#: the L2 hit/miss predictor.
+PREDICTOR_TRAINING_INSTANCES = 4000
+
+
 @dataclass(frozen=True)
 class PartitionConfig:
     """Configuration of a partitioning run."""
@@ -43,18 +52,6 @@ class PartitionConfig:
     adaptive_window: bool = True
     fixed_window_size: int = 1
     use_predictor: bool = True
-    predictor_training_instances: int = 4000
-    profile_instances: int = 4000
-    #: The per-nest empirical gate simulates each candidate split plan over
-    #: this many leading instances (0 = the whole nest, the default: short
-    #: samples miss cross-timing-step dependences and steady-state
-    #: congestion) and keeps the best.  Set negative to disable the gate.
-    gate_sample_instances: int = 0
-    #: Movement regression tolerated by the gate: a split plan must deliver
-    #: better time AND at most this factor of the default's data movement
-    #: (the paper's first-class metric is movement; a plan that wins time by
-    #: flooding the network is not the paper's optimization).
-    gate_movement_tolerance: float = 1.05
     #: Skip profiling and the gate, using exactly this statement->split
     #: mapping (window-size sweeps reuse the adaptive run's plan).
     split_plan_override: Optional[Dict] = None
@@ -160,7 +157,7 @@ class PartitionResult:
 
 
 def profile_access_counts(
-    program: Program, max_instances: int = 4000
+    program: Program, max_instances: int = PROFILE_INSTANCES
 ) -> Dict[str, float]:
     """Per-array dynamic access counts (the profiling step of Section 6.1)."""
     counts: Dict[str, float] = {}
@@ -178,7 +175,7 @@ def train_predictor(
     machine: Machine,
     program: Program,
     predictor: HitMissPredictor,
-    max_instances: int = 4000,
+    max_instances: int = PREDICTOR_TRAINING_INSTANCES,
 ) -> float:
     """Train the L2 predictor on a default-execution trace; returns accuracy.
 

@@ -13,7 +13,7 @@ whether splitting pays:
 2. measure the same statements' average MST weight (the movement a split
    schedule would incur — accurate because split gathers happen *at* the
    data's home banks);
-3. split a statement only when its MST saves at least ``split_bias`` links
+3. split a statement only when its MST saves at least ``SPLIT_BIAS`` links
    per instance over the measured default.
 
 A static decision is stable: per-instance greedy flip-flopping (split some

@@ -23,8 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.core.locator import DataLocator, Location, VariableToNodeMap
 from repro.core.mst import MstEdge
 from repro.errors import SchedulingError
@@ -128,7 +126,6 @@ def split_statement(
     instance: StatementInstance,
     locator: DataLocator,
     var2node: Optional[VariableToNodeMap] = None,
-    rng: Optional[np.random.Generator] = None,
     flatten_products: bool = False,
 ) -> StatementSplit:
     """Split one statement instance into an MST of subcomputation sites."""
@@ -247,8 +244,6 @@ def split_statement(
         # (weight, ma, mb) is unique per pair, so the MstEdge in position 3
         # is never compared: plain tuple sort == the old explicit key.
         candidate_edges.sort()
-        if rng is not None:
-            candidate_edges = _shuffle_equal_weights(candidate_edges, rng)
         uf = UnionFind(member_ids)
         for weight, ma, mb, edge in candidate_edges:
             if uf.union(ma, mb):
@@ -279,23 +274,3 @@ def split_statement(
         )
     return split
 
-
-def _shuffle_equal_weights(
-    edges: List[Tuple[int, int, int, MstEdge]], rng: np.random.Generator
-) -> List[Tuple[int, int, int, MstEdge]]:
-    result: List[Tuple[int, int, int, MstEdge]] = []
-    run: List[Tuple[int, int, int, MstEdge]] = []
-    weight: Optional[int] = None
-    for edge in edges:
-        if weight is None or edge[0] == weight:
-            run.append(edge)
-            weight = edge[0]
-        else:
-            indices = rng.permutation(len(run))
-            result.extend(run[i] for i in indices)
-            run = [edge]
-            weight = edge[0]
-    if run:
-        indices = rng.permutation(len(run))
-        result.extend(run[i] for i in indices)
-    return result

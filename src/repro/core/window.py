@@ -41,10 +41,15 @@ from repro.ir.loop import LoopNest
 from repro.ir.program import Program
 from repro.ir.statement import StatementInstance
 from repro.obs.tracer import get_tracer
-from repro.utils.rng import derive_rng
 
 #: The paper found no nest preferring more than 8 statements (footnote 4).
 MAX_WINDOW_SIZE = 8
+
+#: Split only when the MST saves at least this many links per instance
+#: over the unsplit execution: each cross-node result message costs a
+#: synchronization and serializes dependence chains, so marginal splits
+#: are not worth taking.
+SPLIT_BIAS = 3.0
 
 #: The size search measures candidate window sizes on this many leading
 #: statement instances of a nest.  Loop bodies repeat, so a prefix is
@@ -62,22 +67,14 @@ class WindowConfig:
     of the modeled cache-pollution penalty for oversized windows.
     """
 
-    max_window_size: int = MAX_WINDOW_SIZE
     reuse_aware: bool = True
     l1_model_blocks: int = 64
     balance_threshold: float = 0.10
     flatten_products: bool = False
-    random_ties: bool = False
-    seed: int = 0
     #: Force MST splitting even when the unsplit gather-at-store execution
     #: moves less data (ablation knob; the production path picks the better
     #: of the two per statement).
     always_split: bool = False
-    #: Split only when the MST saves at least this many links per instance
-    #: over the unsplit execution: each cross-node result message costs a
-    #: synchronization and serializes dependence chains, so marginal splits
-    #: are not worth taking.
-    split_bias: float = 3.0
 
 
 @dataclass
@@ -198,7 +195,7 @@ class WindowScheduler:
         )
         # Vectorized fast path and the one split memo: per-nest location
         # tables + signature-deduped split templates (repro.core.vectorized),
-        # shared by the gate, every size trial, and the final scheduling.
+        # shared by every candidate plan's size trials and scheduling.
         # ``templates_for`` hands out None for a stateful predictor (the
         # ideal-analysis oracle), whose answers depend on the query stream,
         # so every split then issues exactly the scalar path's queries.
@@ -207,9 +204,6 @@ class WindowScheduler:
         # Shared across nests (and window-size trials) so uids stay unique
         # within one compilation.
         self._uid_counter = uid_counter if uid_counter is not None else itertools.count()
-        self._rng = (
-            derive_rng(config.seed, "mst-ties") if config.random_ties else None
-        )
         # seq -> default-placement node: where an unsplit statement runs
         # (the paper optimizes on top of the default assignment).
         self.fallback_nodes = fallback_nodes or {}
@@ -253,7 +247,6 @@ class WindowScheduler:
         # instance's pages.
         lazy_split = (
             self._tables is not None
-            and self._rng is None
             and self._tables.covered >= self._tables.instance_count
         )
         for instance in instances:
@@ -276,7 +269,7 @@ class WindowScheduler:
                     fallback,
                     tables=self._tables,
                 )
-                decision = split.mst_weight + self.config.split_bias <= unsplit
+                decision = split.mst_weight + SPLIT_BIAS <= unsplit
             if decision:
                 if split is None:
                     split = self._split_of(instance, var2node)
@@ -310,11 +303,7 @@ class WindowScheduler:
             # A singleton window whose one statement stayed whole has no
             # sync arcs by construction (no child results, no second
             # instance to depend on) — skip building and minimizing the
-            # graph, but keep the inline pass's timing key alive.
-            if self._session is not None and self._session.pass_enabled(
-                "sync_minimize"
-            ):
-                self._session.add_pass_seconds("sync_minimize", 0.0)
+            # graph.
             return WindowSchedule(schedules, SyncGraph(), 0, 0)
         graph = self._build_sync_graph(instances, schedules)
         before = graph.arc_count()
@@ -345,11 +334,11 @@ class WindowScheduler:
         statement none of whose operand blocks the map holds gets the same
         empty-map split (every ``locate`` would return empty ``l1_copies``);
         otherwise the skeleton replay answers from the tables plus the map.
-        Without templates, or with randomized tie-breaking, every split is
-        a fresh scalar :func:`split_statement`.
+        Without templates every split is a fresh scalar
+        :func:`split_statement`.
         """
         templates = self._templates
-        if templates is not None and self._rng is None:
+        if templates is not None:
             if var2node is None or len(var2node) == 0:
                 return templates.split(instance)
             if templates.blocks_held(instance, var2node):
@@ -375,7 +364,6 @@ class WindowScheduler:
             instance,
             self.locator,
             var2node,
-            rng=self._rng,
             flatten_products=self.config.flatten_products,
         )
 
@@ -438,7 +426,11 @@ class WindowScheduler:
 
 @dataclass
 class SearchOutcome:
-    """Result of the adaptive window-size search for one nest."""
+    """One nest's schedule, its window size, and each measured size's movement.
+
+    The adaptive search measures sizes 1..8; a schedule at a size that was
+    not searched carries that one size.
+    """
 
     nest_name: str
     best_size: int
@@ -467,9 +459,9 @@ class WindowSizeSearch:
         self.uid_counter = uid_counter if uid_counter is not None else itertools.count()
         # Per-nest split templates shared by every trial and the final
         # schedule: window-opening splits are identical regardless of window
-        # size, so their MST work is done once.  The partitioner passes the
-        # same templates to the empirical gate's candidate-plan passes too —
-        # splits depend only on the operands, not on the split *plan*.
+        # size, so their MST work is done once.  The schedule pass hands the
+        # same templates to every candidate plan's search too — splits
+        # depend only on the operands, not on the split *plan*.
         self._templates = templates
         self.fallback_nodes = fallback_nodes
         self.split_plan = split_plan
@@ -477,35 +469,29 @@ class WindowSizeSearch:
         self._session = session
 
     def search(self, program: Program, nest: LoopNest) -> SearchOutcome:
-        """Try window sizes 1..max, keep the one minimizing data movement.
+        """Try window sizes 1..8, keep the one minimizing data movement.
 
         Candidate sizes are measured on a leading sample of the nest's
         instance stream (loop bodies repeat, so the prefix is
         representative); the winning size then schedules the whole nest.
-        Each trial uses a fresh load balancer so the comparison is apples
-        to apples.
         """
-        best_size, movement_by_size = self._best_size(
-            program, nest, SEARCH_SAMPLE_INSTANCES
+        sampled = self.search_sample(program, nest, SEARCH_SAMPLE_INSTANCES)
+        final = self._scheduler().schedule_nest(program, nest, sampled.best_size)
+        return SearchOutcome(
+            nest.name, sampled.best_size, final, sampled.movement_by_size
         )
-        final = self._scheduler().schedule_nest(program, nest, best_size)
-        return SearchOutcome(nest.name, best_size, final, movement_by_size)
 
     def search_sample(self, program: Program, nest: LoopNest, sample: int) -> SearchOutcome:
-        """Like :meth:`search` but without scheduling the whole nest."""
-        best_size, movement_by_size = self._best_size(program, nest, sample)
-        empty = NestSchedule(nest.name, best_size, [])
-        return SearchOutcome(nest.name, best_size, empty, movement_by_size)
+        """Best size over the nest's leading ``sample`` instances.
 
-    def _best_size(self, program: Program, nest: LoopNest, sample: int):
-        """Movement of every candidate size; smallest best size wins ties.
-
-        The sampled instance stream is materialized once and shared by all
-        trials (it is identical for every size), as are the window-opening
-        statement splits (via the templates) and the :class:`DataLocator`.
-        Each trial still gets a fresh scheduler + load balancer — their
-        state is what the trial measures, so only the stateless work is
-        hoisted out of the loop.
+        The returned schedule is empty: only the size and the movement of
+        every candidate size are measured; the smallest best size wins
+        ties.  The sampled instance stream is materialized once and shared
+        by all trials (it is identical for every size), as are the
+        window-opening statement splits (via the templates) and the
+        :class:`DataLocator`.  Each trial still gets a fresh scheduler +
+        load balancer — their state is what the trial measures, so only
+        the stateless work is hoisted out of the loop.
         """
         tracer = get_tracer()
         search_span = tracer.span(
@@ -514,7 +500,7 @@ class WindowSizeSearch:
         instances = self._sample_instances(program, nest, sample)
         movement_by_size = {
             size: self._sampled_movement(self._scheduler(), instances, size)
-            for size in range(1, self.config.max_window_size + 1)
+            for size in range(1, MAX_WINDOW_SIZE + 1)
         }
         best_size = min(movement_by_size, key=lambda s: (movement_by_size[s], s))
         if tracer.enabled:
@@ -527,7 +513,8 @@ class WindowSizeSearch:
                 )
         search_span.add(best_size=best_size, movement=movement_by_size[best_size])
         search_span.end()
-        return best_size, movement_by_size
+        empty = NestSchedule(nest.name, best_size, [])
+        return SearchOutcome(nest.name, best_size, empty, movement_by_size)
 
     def _scheduler(self) -> WindowScheduler:
         # No explicit balancer: each trial's WindowScheduler builds its own

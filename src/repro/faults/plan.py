@@ -41,6 +41,8 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import FaultError
+from repro.noc.routing import Router
+from repro.noc.topology import Mesh2D
 
 PLAN_VERSION = 1
 
@@ -244,6 +246,10 @@ class FaultPlan:
         return digest[:16]
 
 
+#: Draws :func:`random_plan` makes before it gives up on a connected plan.
+RANDOM_PLAN_ATTEMPTS = 256
+
+
 def random_plan(
     cols: int,
     rows: int,
@@ -261,6 +267,12 @@ def random_plan(
     (never from ``protected_nodes`` — callers pass the MC/EDC nodes, which
     must stay reachable), plus ``degraded_channel_count`` degraded memory
     channels.  The same arguments always produce the same plan.
+
+    A draw that cuts a live tile off the surviving network (the check
+    :meth:`repro.arch.machine.Machine.apply_faults` runs) is discarded
+    and the next one taken from the same random stream, so a connected
+    first draw is the plan; after :data:`RANDOM_PLAN_ATTEMPTS`
+    disconnected draws the call raises :class:`FaultError`.
 
     ``midrun_node_at``, when given, makes the *last* chosen node fault
     strike after that many completed units instead of before the run.
@@ -284,8 +296,6 @@ def random_plan(
         )
     if link_count > len(all_links):
         raise FaultError(f"mesh has only {len(all_links)} links")
-
-    chosen_nodes = sorted(rng.sample(eligible_nodes, node_count))
     # Avoid links touching protected nodes so corner MCs / edge EDCs never
     # lose their last attachment on small meshes.
     safe_links = [
@@ -293,21 +303,34 @@ def random_plan(
         for (a, b) in all_links
         if a not in protected and b not in protected
     ] or all_links
-    chosen_links = sorted(rng.sample(safe_links, min(link_count, len(safe_links))))
-    chosen_channels = sorted(rng.sample(range(4), min(degraded_channel_count, 4)))
+    mesh = Mesh2D(cols, rows)
 
-    node_faults = []
-    for i, node in enumerate(chosen_nodes):
-        at_unit = 0
-        if midrun_node_at is not None and i == len(chosen_nodes) - 1:
-            at_unit = midrun_node_at
-        node_faults.append(NodeFault(node, at_unit))
-    return FaultPlan(
-        seed=seed,
-        links=tuple(LinkFault(a, b) for (a, b) in chosen_links),
-        nodes=tuple(node_faults),
-        channels=tuple(
-            ChannelDegrade(c, latency_factor) for c in chosen_channels
-        ),
-        description=f"random_plan(seed={seed}, {cols}x{rows})",
+    for _ in range(RANDOM_PLAN_ATTEMPTS):
+        chosen_nodes = sorted(rng.sample(eligible_nodes, node_count))
+        chosen_links = sorted(rng.sample(safe_links, min(link_count, len(safe_links))))
+        chosen_channels = sorted(rng.sample(range(4), min(degraded_channel_count, 4)))
+        node_faults = []
+        for i, node in enumerate(chosen_nodes):
+            at_unit = 0
+            if midrun_node_at is not None and i == len(chosen_nodes) - 1:
+                at_unit = midrun_node_at
+            node_faults.append(NodeFault(node, at_unit))
+        plan = FaultPlan(
+            seed=seed,
+            links=tuple(LinkFault(a, b) for (a, b) in chosen_links),
+            nodes=tuple(node_faults),
+            channels=tuple(
+                ChannelDegrade(c, latency_factor) for c in chosen_channels
+            ),
+            description=f"random_plan(seed={seed}, {cols}x{rows})",
+        )
+        probe = Router(mesh, plan.all_dead_links(), plan.all_dead_nodes())
+        try:
+            probe.check_connected()
+        except FaultError:
+            continue
+        return plan
+    raise FaultError(
+        f"random_plan(seed={seed}, {cols}x{rows}) drew no connected plan "
+        f"in {RANDOM_PLAN_ATTEMPTS} attempts"
     )

@@ -74,9 +74,9 @@ class Program:
         self.nests: List[LoopNest] = []
         # (nest name, seq base) -> fully-resolved instance stream.  The
         # partitioner walks the same stream many times (profiling, predictor
-        # training, the gate's candidate plans, every window-size trial, the
-        # final schedule); instances are immutable, so resolving subscripts
-        # once and replaying the tuple is observationally identical.
+        # training, the gate's candidate plans, every window-size trial);
+        # instances are immutable, so resolving subscripts once and
+        # replaying the tuple is observationally identical.
         self._instance_cache: Dict[Tuple[str, int], Tuple[StatementInstance, ...]] = {}
 
     # -- construction -------------------------------------------------------

@@ -35,6 +35,7 @@ when the order was rearranged incompatibly.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
@@ -43,13 +44,16 @@ from repro import check
 from repro.check import invariants
 from repro.core.locator import DataLocator
 from repro.core.partitioner import (
+    PREDICTOR_TRAINING_INSTANCES,
+    PROFILE_INSTANCES,
     PartitionResult,
     profile_access_counts,
     train_predictor,
 )
 from repro.core.profiling import build_split_plan, profile_statements
 from repro.core.window import (
-    SEARCH_SAMPLE_INSTANCES,
+    SPLIT_BIAS,
+    SearchOutcome,
     WindowScheduler,
     WindowSizeSearch,
 )
@@ -169,9 +173,7 @@ class ProfilePass(Pass):
         program.declare_in(session)
         tracer = session.tracer
         with tracer.span("compile.profile_arrays"):
-            counts = profile_access_counts(
-                program, session.config.profile_instances
-            )
+            counts = profile_access_counts(program)
             session.machine.record_profile(counts)
         artifacts["access_counts"] = counts
 
@@ -199,12 +201,7 @@ class PredictPass(Pass):
         if predictor is not None:
             tracer = session.tracer
             with tracer.span("compile.train_predictor") as train_span:
-                accuracy = train_predictor(
-                    session.machine,
-                    program,
-                    predictor,
-                    session.config.predictor_training_instances,
-                )
+                accuracy = train_predictor(session.machine, program, predictor)
                 train_span.add(accuracy=round(accuracy, 6))
         artifacts["predictor_accuracy"] = accuracy
 
@@ -264,12 +261,11 @@ class AnalyticPredictPass(Pass):
 
         machine = session.machine
         trace = HitMissPredictor()
-        budget = session.config.predictor_training_instances
-        train_predictor(machine, program, trace, budget)
+        train_predictor(machine, program, trace)
         addresses = []
         layout = machine.layout
         for seen, instance in enumerate(program.instances()):
-            if seen >= budget or len(addresses) >= 2000:
+            if seen >= PREDICTOR_TRAINING_INSTANCES or len(addresses) >= 2000:
                 break
             for access in instance.accesses():
                 addresses.append(layout.pa_of(access.array, access.index))
@@ -338,10 +334,10 @@ class SplitPass(Pass):
                     program,
                     locator_for_profiling,
                     fallback_nodes,
-                    sample_per_nest=config.profile_instances,
+                    sample_per_nest=PROFILE_INSTANCES,
                     session=session,
                 )
-                split_plan = build_split_plan(profiles, config.window.split_bias)
+                split_plan = build_split_plan(profiles, SPLIT_BIAS)
                 if tracer.enabled:
                     for key in sorted(profiles):
                         profile = profiles[key]
@@ -361,6 +357,13 @@ class SplitPass(Pass):
         artifacts["fallback_nodes"] = fallback_nodes
         artifacts["profiles"] = profiles
         artifacts["split_plan"] = split_plan
+
+
+#: Movement regression tolerated by the empirical gate: a split plan must
+#: deliver better time AND at most this factor of the all-star plan's data
+#: movement (the paper's first-class metric is movement; a plan that wins
+#: time by flooding the network is not the paper's optimization).
+GATE_MOVEMENT_TOLERANCE = 1.05
 
 
 @register_pass
@@ -402,13 +405,12 @@ class SchedulePass(Pass):
             )
             # Vectorized fast path and the one split memo
             # (repro.core.vectorized): per-nest location tables + split
-            # templates, shared by the gate's candidate-plan passes, the size
-            # search, and the final scheduling — a statement's empty-map
-            # split depends only on its operands, so its MST work is done
-            # once per signature instead of once per pass.  ensure() replays
-            # the whole nest's page translations in canonical first-touch
-            # order up front — the same frames the lazy scalar touches would
-            # assign.
+            # templates, shared by every candidate plan's scheduling and
+            # size search — a statement's empty-map split depends only on
+            # its operands, so its MST work is done once per signature
+            # instead of once per plan.  ensure() replays the whole nest's
+            # page translations in canonical first-touch order up front —
+            # the same frames the lazy scalar touches would assign.
             from repro.core.vectorized import templates_for
 
             templates = templates_for(
@@ -416,67 +418,31 @@ class SchedulePass(Pass):
             )
             if templates is not None:
                 templates.tables.ensure(nest.instance_count)
-            reuse = None
+            schedule_plan = functools.partial(
+                self._schedule_plan, session, program, nest, locator,
+                fallback_nodes, uid_counter, templates,
+            )
             if config.split_plan_override is not None:
                 keys = [(nest.name, b) for b in range(nest.body_size)]
                 plan = {k: bool(split_plan.get(k, False)) for k in keys}
                 variant = "override"
+                outcome = schedule_plan(plan)
             else:
-                plan, variant, reuse = self._choose_nest_plan(
-                    session, program, nest, locator, fallback_nodes,
-                    split_plan, profiles, uid_counter, predictor, templates,
+                plan, variant, outcome = self._choose_nest_plan(
+                    session, nest, split_plan, profiles, predictor, schedule_plan
                 )
             chosen_plan.update(plan)
             variant_by_nest[nest.name] = variant
-            if reuse is not None:
-                # The winning gate measure already scheduled the whole nest
-                # with the shared uid counter under conditions that make it
-                # bit-equal to the search below (see _choose_nest_plan);
-                # redoing the search/schedule would only repeat the work.
-                schedule, size, by_size = reuse
-                nest_schedules[nest.name] = schedule
-                window_sizes[nest.name] = size
-                movement_by_size[nest.name] = by_size
-            elif config.adaptive_window and any(plan.values()):
-                outcome = WindowSizeSearch(
-                    machine,
-                    locator,
-                    config.window,
-                    uid_counter=uid_counter,
-                    fallback_nodes=fallback_nodes,
-                    split_plan=plan,
-                    session=session,
-                    templates=templates,
-                ).search(program, nest)
-                nest_schedules[nest.name] = outcome.best_schedule
-                window_sizes[nest.name] = outcome.best_size
-                movement_by_size[nest.name] = outcome.movement_by_size
-            else:
-                # All-star nests (== the default execution) and fixed-window
-                # configurations skip the size search.
-                size = 1 if config.adaptive_window else config.fixed_window_size
-                scheduler = WindowScheduler(
-                    machine,
-                    locator,
-                    config.window,
-                    uid_counter=uid_counter,
-                    fallback_nodes=fallback_nodes,
-                    split_plan=plan,
-                    session=session,
-                    templates=templates,
-                )
-                schedule = scheduler.schedule_nest(program, nest, size)
-                nest_schedules[nest.name] = schedule
-                window_sizes[nest.name] = size
-                movement_by_size[nest.name] = {size: schedule.movement}
-            final = nest_schedules[nest.name]
+            final = outcome.best_schedule
+            nest_schedules[nest.name] = final
+            window_sizes[nest.name] = outcome.best_size
+            movement_by_size[nest.name] = outcome.movement_by_size
             nest_span.add(
                 variant=variant,
-                window_size=window_sizes[nest.name],
+                window_size=outcome.best_size,
                 movement=final.movement,
                 syncs=final.sync_count,
                 syncs_unminimized=final.sync_count_unminimized,
-                reused_gate_schedule=reuse is not None,
             )
             nest_span.end()
         result = PartitionResult(
@@ -499,32 +465,65 @@ class SchedulePass(Pass):
             invariants.check_unit_nodes_alive(units, machine.dead_nodes)
         artifacts["partition"] = result
 
-    def _choose_nest_plan(
-        self,
+    @staticmethod
+    def _schedule_plan(
         session,
         program: Program,
         nest,
         locator: DataLocator,
         fallback_nodes: Dict[int, int],
+        uid_counter,
+        templates,
+        plan: Dict,
+    ) -> SearchOutcome:
+        """Schedule the whole nest under one split plan.
+
+        A plan that splits something gets §4.4's window-size search when
+        the window is adaptive; any other plan runs at size 1, or at the
+        configured fixed size.  Every plan draws its uids from the
+        compilation's one counter, so uids stay unique across nests and
+        candidate plans; consumers (the simulator's heap and last-writer
+        scan, sync graphs) depend only on their relative order.
+        """
+        config = session.config
+        shared = dict(
+            uid_counter=uid_counter,
+            fallback_nodes=fallback_nodes,
+            split_plan=plan,
+            session=session,
+            templates=templates,
+        )
+        if config.adaptive_window and any(plan.values()):
+            return WindowSizeSearch(
+                session.machine, locator, config.window, **shared
+            ).search(program, nest)
+        size = 1 if config.adaptive_window else config.fixed_window_size
+        schedule = WindowScheduler(
+            session.machine, locator, config.window, **shared
+        ).schedule_nest(program, nest, size)
+        return SearchOutcome(nest.name, size, schedule, {size: schedule.movement})
+
+    def _choose_nest_plan(
+        self,
+        session,
+        nest,
         profile_plan: Dict,
         profiles: Dict,
-        uid_counter,
         predictor,
-        templates=None,
-    ):
+        schedule_plan,
+    ) -> Tuple[Dict, str, SearchOutcome]:
         """Pick the nest's split plan empirically (the gate).
 
         Candidate plans — all-star (identical to the default execution), the
         profile-derived per-statement plan, and all-split (every statement
-        except serial-chain reductions) — are each scheduled over the nest
-        and *simulated*.  A splitting plan is accepted only when it improves
-        execution time AND does not regress data movement beyond the
-        configured tolerance (movement is the paper's first-class metric);
-        among accepted plans the fastest wins.  The all-star plan is always
-        a candidate, so a partitioned build never regresses a nest below
-        the baseline.
+        except serial-chain reductions) — are each scheduled over the whole
+        nest by ``schedule_plan`` and *simulated*.  A splitting plan is
+        accepted only when it improves execution time AND does not regress
+        data movement beyond :data:`GATE_MOVEMENT_TOLERANCE`; among accepted
+        plans the fastest wins, and the schedule it was measured with is
+        the one that ships.  The all-star plan is always a candidate, so a
+        partitioned build never regresses a nest below the baseline.
         """
-        config = session.config
         keys = [(nest.name, b) for b in range(nest.body_size)]
         star = {key: False for key in keys}
         from_profile = {key: bool(profile_plan.get(key, False)) for key in keys}
@@ -533,48 +532,38 @@ class SchedulePass(Pass):
             for key in keys
         }
         tracer = session.tracer
-        if config.window.always_split:
+        if session.config.window.always_split:
             tracer.point("gate.skip", nest=nest.name, reason="always_split")
-            return all_split, "split", None
+            return all_split, "split", schedule_plan(all_split)
         candidates = []
         if any(from_profile.values()):
             candidates.append(("profile", from_profile))
         if any(all_split.values()) and all_split != from_profile:
             candidates.append(("split", all_split))
-        if not candidates or config.gate_sample_instances < 0:
-            variant = "profile" if any(from_profile.values()) else "star"
+        if not candidates:
             tracer.point(
-                "gate.skip",
-                nest=nest.name,
-                reason="no_candidates" if not candidates else "gate_disabled",
-                variant=variant,
+                "gate.skip", nest=nest.name, reason="no_candidates", variant="star"
             )
-            return from_profile, variant, None
+            return star, "star", schedule_plan(star)
 
-        star_cycles, star_movement, star_reuse = self._gate_measure(
-            session, program, nest, locator, fallback_nodes, star,
-            uid_counter, templates,
-        )
+        machine = session.machine
+        best = schedule_plan(star)
+        best_cycles, star_movement = self._simulate(machine, best.best_schedule)
         tracer.point(
             "gate.candidate",
             nest=nest.name,
             variant="star",
-            cycles=star_cycles,
+            cycles=best_cycles,
             movement=star_movement,
         )
         best_plan = star
         best_variant = "star"
-        best_cycles = star_cycles
-        best_reuse = star_reuse
-        tolerance = config.gate_movement_tolerance
         for variant, plan in candidates:
-            cycles, movement, reuse = self._gate_measure(
-                session, program, nest, locator, fallback_nodes, plan,
-                uid_counter, templates,
-            )
+            outcome = schedule_plan(plan)
+            cycles, movement = self._simulate(machine, outcome.best_schedule)
             accepted = (
                 cycles < best_cycles
-                and movement <= tolerance * max(star_movement, 1)
+                and movement <= GATE_MOVEMENT_TOLERANCE * max(star_movement, 1)
             )
             tracer.point(
                 "gate.candidate",
@@ -588,106 +577,33 @@ class SchedulePass(Pass):
                 best_cycles = cycles
                 best_plan = plan
                 best_variant = variant
-                best_reuse = reuse
-        # The winning measure's full-nest schedule (a measure returns one
-        # only when the gate covered the whole nest) can stand in for the
-        # final scheduling pass only when that pass would redo bit-equal
-        # work: the final pass is the adaptive one (its size search samples
-        # the same SEARCH_SAMPLE_INSTANCES prefix as the gate's), and the
-        # predictor is pure (a stateful oracle's answers depend on the
-        # query stream, so skipped queries would change later answers).
-        if not (config.adaptive_window and getattr(predictor, "pure_predict", True)):
-            best_reuse = None
+                best = outcome
         tracer.point(
-            "gate.verdict",
-            nest=nest.name,
-            variant=best_variant,
-            cycles=best_cycles,
-            schedule_reused=best_reuse is not None,
+            "gate.verdict", nest=nest.name, variant=best_variant, cycles=best_cycles
         )
-        return best_plan, best_variant, best_reuse
+        if getattr(predictor, "pure_predict", True):
+            return best_plan, best_variant, best
+        # A stateful predictor (the ideal-analysis oracle) answers from its
+        # query history, which the later candidates' scheduling has
+        # advanced: its winner is scheduled once more, against the full
+        # history.  The measured schedules are dropped first, so the new
+        # one is the only nest schedule alive while it is built.
+        best = outcome = None
+        return best_plan, best_variant, schedule_plan(best_plan)
 
-    def _gate_measure(
-        self,
-        session,
-        program: Program,
-        nest,
-        locator: DataLocator,
-        fallback_nodes: Dict[int, int],
-        plan: Dict,
-        uid_counter,
-        templates=None,
-    ):
-        """(cycles, movement, reuse) of one candidate plan over the sample.
-
-        ``reuse`` is ``(NestSchedule, size, movement_by_size)`` when the
-        measure scheduled the whole nest (gate sample covers it), else
-        ``None``; the caller decides whether the final pass may adopt it.
-        """
+    @staticmethod
+    def _simulate(machine, schedule) -> Tuple[int, int]:
+        """(cycles, movement) of one nest schedule on the event simulator."""
         from repro.sim.engine import SimConfig, Simulator
 
-        machine = session.machine
-        config = session.config
-        scheduler = WindowScheduler(
-            machine,
-            locator,
-            config.window,
-            uid_counter=uid_counter,
-            fallback_nodes=fallback_nodes,
-            split_plan=plan,
-            session=session,
-            templates=templates,
-        )
-        size = 1
-        by_size = None
-        sample = config.gate_sample_instances
-        limit = sample if sample > 0 else nest.instance_count
-        if any(plan.values()):
-            outcome = WindowSizeSearch(
-                machine,
-                locator,
-                config.window,
-                fallback_nodes=fallback_nodes,
-                split_plan=plan,
-                session=session,
-                templates=templates,
-            ).search_sample(program, nest, min(limit, SEARCH_SAMPLE_INSTANCES))
-            size = outcome.best_size
-            by_size = outcome.movement_by_size
-        if limit >= nest.instance_count:
-            # Whole-nest measure: identical to schedule_nest's windowing.
-            schedule = scheduler.schedule_nest(program, nest, size)
-            units = [
-                sub
-                for window in schedule.windows
-                for statement_schedule in window.schedules
-                for sub in statement_schedule.subcomputations
-            ]
-            if by_size is None:
-                by_size = {size: schedule.movement}
-            reuse = (schedule, size, by_size)
-        else:
-            units = []
-            buffer = []
-            seen = 0
-            for instance in program.nest_instances(nest, program.seq_base_of(nest)):
-                buffer.append(instance)
-                seen += 1
-                if len(buffer) == size:
-                    window = scheduler.schedule_window(buffer)
-                    for statement_schedule in window.schedules:
-                        units.extend(statement_schedule.subcomputations)
-                    buffer = []
-                if seen >= limit:
-                    break
-            if buffer:
-                window = scheduler.schedule_window(buffer)
-                for statement_schedule in window.schedules:
-                    units.extend(statement_schedule.subcomputations)
-            reuse = None
+        units = [
+            sub
+            for statement_schedule in schedule.statement_schedules()
+            for sub in statement_schedule.subcomputations
+        ]
         machine.mcdram.reset()
         metrics = Simulator(machine, SimConfig()).run(units)
-        return metrics.total_cycles, metrics.data_movement, reuse
+        return metrics.total_cycles, metrics.data_movement
 
 
 @register_pass

@@ -13,7 +13,7 @@ keyword arguments.  The session bundles all of it:
   (see :mod:`repro.pipeline.passes` for the registry);
 * **run state** — per-pass wall-clock timings and the cross-pass caches
   (the per-nest location tables and statement-split templates shared by
-  the gate, the window-size search, and the final scheduling pass).
+  every candidate plan's scheduling and window-size search).
 
 One session corresponds to one compile context.  ``fork()`` derives an
 independent sibling (fresh machine built from the same
@@ -44,10 +44,9 @@ class SessionCaches:
     """Mutable caches owned by one session, scoped to one compile run.
 
     ``split_templates`` is the one split memo: one store per nest is shared
-    by the empirical gate's candidate-plan passes, the window-size search,
-    and the final scheduling (a window-opening statement's split depends
-    only on its operands, so the MST work is done once per signature
-    instead of once per pass).
+    by every candidate plan's scheduling and window-size search (a
+    window-opening statement's split depends only on its operands, so the
+    MST work is done once per signature instead of once per plan).
     """
 
     def __init__(self) -> None:
@@ -178,7 +177,6 @@ class CompilationSession:
         from repro.pipeline.passes import resolve_order
 
         config = self.machine.config
-        window = self.config.window
         return {
             "machine": {
                 "mesh_cols": config.mesh_cols,
@@ -192,10 +190,7 @@ class CompilationSession:
                 "adaptive_window": self.config.adaptive_window,
                 "fixed_window_size": self.config.fixed_window_size,
                 "use_predictor": self.config.use_predictor,
-                "gate_sample_instances": self.config.gate_sample_instances,
-                "max_window_size": window.max_window_size,
-                "reuse_aware": window.reuse_aware,
-                "split_bias": window.split_bias,
+                "reuse_aware": self.config.window.reuse_aware,
             },
             "faults_fingerprint": (
                 None

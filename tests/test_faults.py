@@ -98,6 +98,25 @@ def test_random_plan_respects_protected_nodes(machine):
         assert fault.src not in protected and fault.dst not in protected
 
 
+def test_random_plan_never_cuts_a_live_tile_off():
+    # The first draw at this seed kills links 63-79 and 78-79 and tile 95,
+    # which leaves tile 79 unreachable; the plan is drawn again.
+    from repro.experiments.common import paper_machine
+
+    machine = paper_machine(mesh_cols=16, mesh_rows=16)
+    plan = random_plan(
+        16, 16, seed=16, link_count=4, node_count=2,
+        protected_nodes=sorted(_protected(machine)),
+    )
+    machine.apply_faults(plan)
+    assert machine.dead_nodes == plan.all_dead_nodes()
+
+
+def test_random_plan_gives_up_on_an_always_disconnected_mesh():
+    with pytest.raises(FaultError, match="no connected plan"):
+        random_plan(2, 1, seed=0, link_count=1, node_count=0)
+
+
 @pytest.mark.parametrize(
     "text",
     [

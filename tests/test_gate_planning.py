@@ -1,10 +1,9 @@
 """Tests for the empirical gate and plan selection in the partitioner."""
 
-
-
 from repro.arch.knl import small_machine
+from repro.cache.predictor import HitMissPredictor
 from repro.core.partitioner import NdpPartitioner, PartitionConfig
-from repro.core.window import WindowConfig
+from repro.core.window import WindowConfig, WindowScheduler
 from repro.ir.loop import Loop, LoopNest
 from repro.ir.parser import parse_statement
 from repro.ir.program import Program
@@ -31,11 +30,6 @@ class TestGate:
     def test_gate_records_variant(self, machine):
         result = NdpPartitioner(machine, PartitionConfig()).partition(gate_program())
         assert result.variant_by_nest["main"] in ("star", "profile", "split")
-
-    def test_gate_disabled_uses_profile_plan(self, machine):
-        config = PartitionConfig(gate_sample_instances=-1, use_predictor=False)
-        result = NdpPartitioner(machine, config).partition(gate_program())
-        assert result.variant_by_nest["main"] in ("star", "profile")
 
     def test_always_split_bypasses_gate(self, machine):
         config = PartitionConfig(window=WindowConfig(always_split=True))
@@ -72,14 +66,57 @@ class TestGate:
         if result.variant_by_nest["main"] == "star":
             assert plan_units == override_units
 
-    def test_sample_gate_allowed(self, machine):
-        config = PartitionConfig(gate_sample_instances=64)
-        result = NdpPartitioner(machine, config).partition(gate_program())
-        assert result.statement_count == gate_program().total_instances()
 
-    def test_movement_tolerance_zero_forces_strict(self, machine):
-        config = PartitionConfig(gate_movement_tolerance=0.0)
-        result = NdpPartitioner(machine, config).partition(gate_program())
-        # With zero tolerance a split must strictly reduce movement; the
-        # partition still completes either way.
-        assert result.statement_count == gate_program().total_instances()
+class TestOneSchedulingPath:
+    """Every candidate plan is scheduled by one helper, and the gate ships
+    the schedule it simulated."""
+
+    def _compile(self, monkeypatch, predictor, config=PartitionConfig()):
+        """(window sizes passed to schedule_nest, simulated schedules, result)."""
+        from repro.pipeline.passes import SchedulePass
+
+        sizes, measured = [], []
+        schedule_nest = WindowScheduler.schedule_nest
+        simulate = SchedulePass._simulate
+
+        def counting_schedule_nest(self, program, nest, window_size):
+            sizes.append(window_size)
+            return schedule_nest(self, program, nest, window_size)
+
+        def counting_simulate(machine, schedule):
+            measured.append(schedule)
+            return simulate(machine, schedule)
+
+        monkeypatch.setattr(WindowScheduler, "schedule_nest", counting_schedule_nest)
+        monkeypatch.setattr(SchedulePass, "_simulate", staticmethod(counting_simulate))
+        partitioner = NdpPartitioner(small_machine(), config)
+        partitioner.predictor = predictor
+        result = partitioner.partition(gate_program())
+        return sizes, measured, result
+
+    def test_pure_predictor_schedules_each_candidate_once(self, monkeypatch):
+        sizes, measured, result = self._compile(monkeypatch, HitMissPredictor())
+        assert len(measured) == 2  # all-star plus one splitting plan
+        assert len(sizes) == len(measured)
+        assert any(result.nest_schedules["main"] is s for s in measured)
+
+    def test_stateful_predictor_schedules_the_winner_again(self, monkeypatch):
+        class _Stateful(HitMissPredictor):
+            pure_predict = False
+
+        sizes, measured, result = self._compile(monkeypatch, _Stateful())
+        assert len(measured) == 2
+        assert len(sizes) == len(measured) + 1
+        assert not any(result.nest_schedules["main"] is s for s in measured)
+
+    def test_fixed_window_measures_every_candidate_at_the_fixed_size(
+        self, monkeypatch
+    ):
+        config = PartitionConfig(adaptive_window=False, fixed_window_size=3)
+        sizes, measured, result = self._compile(
+            monkeypatch, HitMissPredictor(), config
+        )
+        assert len(measured) == 2
+        assert sizes == [3, 3]
+        assert [s.window_size for s in measured] == [3, 3]
+        assert result.window_sizes == {"main": 3}
