@@ -11,7 +11,7 @@ SERVE_OUT_DIR ?= out/serve
 
 .PHONY: test lint cov check bench bench-smoke bench-regression quick report \
 	report-smoke faults-demo docs-check examples-smoke serve-smoke \
-	serve-bench mesh-sweep mesh-sweep-smoke runtime-smoke
+	serve-bench mesh-sweep mesh-sweep-smoke
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -25,8 +25,9 @@ cov:
 	$(PYTHON) -m pytest -q --cov=repro --cov-report=term --cov-fail-under=$(COV_MIN)
 
 # Correctness oracles (DESIGN.md section 10): the differential/property
-# suite in tests/check/, then smoke pipelines (healthy + degraded) with
-# the runtime invariant hooks live via REPRO_CHECK=1.
+# suite in tests/check/ (including the task-graph replay of the simulator,
+# section 15), then smoke pipelines (healthy + degraded) with the runtime
+# invariant hooks live via REPRO_CHECK=1.
 check:
 	$(PYTHON) -m pytest tests/check -q
 	REPRO_CHECK=1 $(PYTHON) -m repro.cli report tiny --out report_check.json
@@ -90,23 +91,6 @@ serve-smoke:
 	$(PYTHON) -m repro.benchmarks.regression \
 		--serve-baseline BENCH_serve.json \
 		--serve-fresh $(SERVE_OUT_DIR)/BENCH_serve_fresh.json
-
-# CI's runtime-smoke gate: compile tiny + minimd and *execute* them on
-# the task-runtime backend (one worker: deterministic dispatch), then
-# gate on the runtime-execution contract — zero sync-order violations
-# and movement agreement within MOVEMENT_AGREEMENT_TOLERANCE of the
-# simulator's forecast (tools/check_runtime_gate.py).
-runtime-smoke:
-	mkdir -p out/runtime
-	$(PYTHON) -m repro.cli report tiny --backend runtime --backend-workers 1 \
-		--out out/runtime/report_tiny_runtime.json --no-heatmap
-	$(PYTHON) -m repro.obs.schema out/runtime/report_tiny_runtime.json
-	$(PYTHON) -m repro.cli report minimd --backend runtime --backend-workers 1 \
-		--out out/runtime/report_minimd_runtime.json --no-heatmap
-	$(PYTHON) -m repro.obs.schema out/runtime/report_minimd_runtime.json
-	$(PYTHON) tools/check_runtime_gate.py \
-		out/runtime/report_tiny_runtime.json \
-		out/runtime/report_minimd_runtime.json
 
 # Refresh the committed serve baseline (run on a quiet machine).  The
 # baseline itself is committed, so it stays at the repo root; the

@@ -9,6 +9,9 @@ but slow* references:
   (exhaustive spanning-tree search, Floyd–Warshall all-pairs distances,
   a naive per-address bank/channel mapper, reference transitive
   closure/reduction) used by the property harness in ``tests/check/``;
+* :mod:`repro.check.replay` — the simulator's oracle: a schedule
+  replayed as a concurrent task graph (on :mod:`repro.check.taskspace`)
+  must move exactly what ``Simulator.run`` moves (DESIGN.md section 15);
 * :mod:`repro.check.invariants` — runtime assertion hooks threaded
   through the partitioner, scheduler, balancer, router, layout, and
   simulator, active only in *check mode*.

@@ -33,13 +33,9 @@ default) trains the two-bit region predictor on a simulated trace;
 :mod:`repro.core.locality` (DESIGN.md section 12).  The default path is
 bit-identical with the flag absent.
 
-``compare`` and ``report`` accept ``--backend {sim,runtime}`` to choose
-the execution backend (:mod:`repro.exec`): ``sim`` (the default) is the
-event simulator, bit-identical with the flag absent; ``runtime``
-additionally executes the optimized schedule on the Parla-style
-concurrent task runtime (``--backend-workers N``, or ``--backend-seed S``
-with one worker for a reproducible schedule) and reports the
-runtime-observed data movement against the simulator's forecast.
+Every subcommand executes a schedule one way: the event simulator.
+The task-graph replay that cross-checks it is an oracle in
+:mod:`repro.check.replay`, run by ``make check``, not a CLI option.
 
 ``compare`` and ``report`` accept ``--faults PLAN.json`` to run on a
 degraded machine (dead links / offline tiles / slow MCDRAM channels);
@@ -110,37 +106,6 @@ def _flag_conflict(args) -> str:
             "--trace-debug requires --trace FILE (there is no trace "
             "stream to put the debug events on)"
         )
-    if getattr(args, "backend", "sim") == "runtime" and getattr(
-        args, "faults", ""
-    ):
-        return (
-            "--backend runtime cannot run on a degraded machine: the task "
-            "runtime has no fault-relocation path, so the fault plan would "
-            "be silently ignored — drop --faults or use --backend sim"
-        )
-    if getattr(args, "backend", "sim") == "sim":
-        ignored = [
-            name
-            for name, value in (
-                ("--backend-workers", getattr(args, "backend_workers", None)),
-                ("--backend-seed", getattr(args, "backend_seed", None)),
-            )
-            if value is not None
-        ]
-        if ignored:
-            return (
-                f"{', '.join(ignored)}: runtime-backend option(s) would be "
-                "silently ignored under the sim backend — drop them or add "
-                "--backend runtime"
-            )
-    if (
-        getattr(args, "backend_seed", None) is not None
-        and (getattr(args, "backend_workers", None) or 1) != 1
-    ):
-        return (
-            "--backend-seed promises a reproducible schedule, which needs "
-            "--backend-workers 1 (the OS scheduler is not seedable)"
-        )
     if getattr(args, "command", "") == "faults" and args.plan:
         knobs = [
             name
@@ -198,45 +163,7 @@ def _run_compare(args) -> int:
     )
     print(f"\nwindow sizes  : {comparison.partition.window_sizes}")
     print(f"plan variants : {comparison.partition.variant_by_nest}")
-    if args.backend == "runtime":
-        _print_runtime_execution(args, o)
     return 0
-
-
-def _print_runtime_execution(args, optimized_metrics) -> int:
-    """Execute the optimized schedule on the task runtime and report it."""
-    from repro.exec.backend import get_backend
-    from repro.exec.runtime import movement_agreement
-    from repro.experiments.common import run_optimized
-
-    partition, _, machine = run_optimized(
-        args.app, scale=args.scale, seed=args.seed, predictor=args.predictor
-    )
-    backend = get_backend("runtime", **_backend_options(args))
-    machine.mcdram.reset()
-    result = backend.run(machine, partition.units())
-    agreement = movement_agreement(
-        result.data_movement, optimized_metrics.data_movement
-    )
-    print(
-        f"\nruntime  : workers={result.workers} seed={result.seed} "
-        f"tasks={result.tasks_executed} "
-        f"observed={result.data_movement} "
-        f"forecast={optimized_metrics.data_movement} "
-        f"agreement={agreement:.4f} syncs={result.sync_count} "
-        f"violations={len(result.sync_violations)}"
-    )
-    return 0
-
-
-def _backend_options(args) -> dict:
-    """The get_backend kwargs of the ``--backend-*`` flags (set only)."""
-    options = {}
-    if getattr(args, "backend_workers", None) is not None:
-        options["workers"] = args.backend_workers
-    if getattr(args, "backend_seed", None) is not None:
-        options["seed"] = args.backend_seed
-    return options
 
 
 def _list_passes() -> int:
@@ -290,8 +217,6 @@ def _cmd_report(args) -> int:
         faults=_fault_plan_of(args),
         skip_passes=tuple(args.skip_pass),
         pass_order=predictor_pass_order(args.predictor),
-        backend=args.backend,
-        backend_options=_backend_options(args),
     )
     write_report(report, args.out)
     print("\n".join(summary_lines(report)))
@@ -455,32 +380,6 @@ def main(argv: List[str] = None) -> int:
             "'analytic' (closed-form locality model, DESIGN.md sec. 12)",
         )
 
-    def add_backend_flags(p) -> None:
-        p.add_argument(
-            "--backend",
-            choices=["sim", "runtime"],
-            default="sim",
-            help="execution backend: 'sim' (default, the event simulator) "
-            "or 'runtime' (Parla-style concurrent task runtime, "
-            "DESIGN.md sec. 15)",
-        )
-        p.add_argument(
-            "--backend-workers",
-            type=int,
-            default=None,
-            metavar="N",
-            help="task-runtime worker threads (runtime backend only; "
-            "default 4)",
-        )
-        p.add_argument(
-            "--backend-seed",
-            type=int,
-            default=None,
-            metavar="SEED",
-            help="seeded deterministic scheduling (runtime backend only; "
-            "requires --backend-workers 1)",
-        )
-
     compare = sub.add_parser("compare", help="default vs optimized for one app")
     compare.add_argument("app", choices=ALL_WORKLOAD_NAMES)
     compare.add_argument("--scale", type=int, default=1)
@@ -489,7 +388,6 @@ def main(argv: List[str] = None) -> int:
     add_faults_flag(compare)
     add_check_flag(compare)
     add_predictor_flag(compare)
-    add_backend_flags(compare)
     compare.set_defaults(func=_cmd_compare)
 
     report = sub.add_parser(
@@ -524,7 +422,6 @@ def main(argv: List[str] = None) -> int:
     add_faults_flag(report)
     add_check_flag(report)
     add_predictor_flag(report)
-    add_backend_flags(report)
     report.set_defaults(func=_cmd_report)
 
     faults = sub.add_parser(

@@ -4,82 +4,25 @@ Turns a schedule into per-node program listings: each node receives the
 subcomputations assigned to it, with ``sync(...)`` waits ahead of any
 combine that consumes cross-node results.  This is the shape of the code
 the paper's source-to-source translator emits (Figure 8b's node i / node i1
-/ node i2 listing).
-
-Besides the text listing, the generator emits the same program as
-structured :class:`TaskSpec` records — one per subcomputation, with its
-data dependencies (the ``sub_results`` producers) and the cross-node
-subset that the listing renders as ``sync(...)`` waits.  The task form is
-what the execution backends consume (:mod:`repro.exec`): the simulator
-ignores it, the task runtime turns each sync wait into a task-graph
-dependency.
+/ node i2 listing).  The listing is text only; the schedule-replay oracle
+(:mod:`repro.check.replay`) builds its own task form of the same sync
+waits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterable, List
 
 from repro.core.scheduler import StatementSchedule
 from repro.core.subcomputation import Subcomputation
-from repro.ir.statement import Access
-
-
-class TaskSpec(NamedTuple):
-    """One subcomputation as a schedulable task (Figure 8, structured).
-
-    ``deps`` are the producer uids of every consumed child result (the
-    dataflow arcs); ``sync_deps`` is the cross-node subset — exactly the
-    producers the text listing renders as ``sync(T<uid>)`` waits, because
-    a same-node child needs no point-to-point synchronization.
-    """
-
-    uid: int
-    seq: int
-    node: int
-    deps: Tuple[int, ...]
-    sync_deps: Tuple[int, ...]
-    reads: Tuple[Access, ...]
-    store: Optional[Access]
-    cost: float
-    op_count: int
-
-    @property
-    def is_final(self) -> bool:
-        """True for the task that stores its statement's result."""
-        return self.store is not None
-
-
-def task_spec_of(sub: Subcomputation) -> TaskSpec:
-    """The structured task form of one scheduled subcomputation."""
-    return TaskSpec(
-        uid=sub.uid,
-        seq=sub.seq,
-        node=sub.node,
-        deps=tuple(r.producer_uid for r in sub.sub_results),
-        sync_deps=tuple(
-            r.producer_uid for r in sub.sub_results if r.from_node != sub.node
-        ),
-        reads=tuple(g.access for g in sub.gathered),
-        store=sub.store,
-        cost=sub.cost,
-        op_count=sub.op_count,
-    )
-
-
-def task_specs(units: Iterable[Subcomputation]) -> Tuple[TaskSpec, ...]:
-    """Structured task records for a unit sequence, in given order."""
-    return tuple(task_spec_of(sub) for sub in units)
 
 
 @dataclass
 class GeneratedCode:
-    """Per-node generated pseudo-code plus its structured task form."""
+    """Per-node generated pseudo-code."""
 
     lines_by_node: Dict[int, List[str]]
-    #: One record per subcomputation, in schedule order — the execution
-    #: backends' input (``sync_deps`` mirror the listing's sync waits).
-    tasks: Tuple[TaskSpec, ...] = ()
 
     def nodes(self) -> List[int]:
         """Mesh nodes that received at least one instruction, sorted."""
@@ -130,12 +73,10 @@ def _render(sub: Subcomputation) -> List[str]:
 def generate_code(schedules: Iterable[StatementSchedule]) -> GeneratedCode:
     """Generate the per-node listing for a set of statement schedules."""
     lines_by_node: Dict[int, List[str]] = {}
-    tasks: List[TaskSpec] = []
     for schedule in schedules:
         for sub in schedule.subcomputations:
             lines_by_node.setdefault(sub.node, []).extend(_render(sub))
-            tasks.append(task_spec_of(sub))
-    return GeneratedCode(lines_by_node, tuple(tasks))
+    return GeneratedCode(lines_by_node)
 
 
 def generate_for_partition(partition) -> GeneratedCode:

@@ -1,29 +1,5 @@
-"""Execution backends: anything that can run a compiled schedule.
+"""Run a compiled schedule: :class:`SimBackend` wraps the event simulator."""
 
-The :class:`~repro.exec.backend.Backend` protocol abstracts "execute
-these subcomputation units on this machine and account for the data
-movement".  ``sim`` is the event simulator (default, bit-identical to
-the pre-protocol pipeline); ``runtime`` is the Parla-style concurrent
-task runtime (DESIGN.md section 15).
-"""
+from repro.exec.backend import ExecutionResult, SimBackend
 
-from repro.exec.backend import (
-    BACKEND_NAMES,
-    Backend,
-    ExecutionResult,
-    SimBackend,
-    get_backend,
-)
-from repro.exec.taskspace import TaskError, TaskRuntime, TaskSpace, spawn
-
-__all__ = [
-    "BACKEND_NAMES",
-    "Backend",
-    "ExecutionResult",
-    "SimBackend",
-    "get_backend",
-    "TaskError",
-    "TaskRuntime",
-    "TaskSpace",
-    "spawn",
-]
+__all__ = ["ExecutionResult", "SimBackend"]

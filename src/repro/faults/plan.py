@@ -276,7 +276,15 @@ def random_plan(
 
     ``midrun_node_at``, when given, makes the *last* chosen node fault
     strike after that many completed units instead of before the run.
+    A negative count raises :class:`FaultError` before any draw.
     """
+    for name, count in (
+        ("link_count", link_count),
+        ("node_count", node_count),
+        ("degraded_channel_count", degraded_channel_count),
+    ):
+        if count < 0:
+            raise FaultError(f"{name} must be >= 0, got {count}")
     rng = random.Random(seed)
     node_total = cols * rows
     protected = set(protected_nodes)

@@ -132,8 +132,6 @@ def build_report(
     faults: Optional[FaultPlan] = None,
     skip_passes: Tuple[str, ...] = (),
     pass_order: Optional[Tuple[str, ...]] = None,
-    backend: str = "sim",
-    backend_options: Optional[Dict] = None,
 ) -> Dict:
     """Run ``app`` end to end and return its schema-valid report dict.
 
@@ -155,17 +153,6 @@ def build_report(
             :class:`~repro.errors.ConfigurationError` before any work.
             The shape, per-pass wall times, and session identity land in
             the report's ``pipeline`` section (schema v3).
-        backend: execution backend for the report's ``execution``
-            section (schema v4).  ``"sim"`` (default) records only the
-            backend name — the default/optimized metrics *are* the sim
-            execution, byte-identical to pre-v4 reports apart from the
-            section itself.  ``"runtime"`` additionally executes the
-            optimized schedule on the Parla-style task runtime (phase
-            ``execute_runtime``) and records the observed-vs-forecast
-            movement agreement.
-        backend_options: kwargs for
-            :func:`repro.exec.backend.get_backend` (``workers``,
-            ``seed``); only meaningful with ``backend="runtime"``.
 
     The returned dict is validated against :mod:`repro.obs.schema` before
     being returned, so downstream consumers never see a malformed report.
@@ -176,11 +163,11 @@ def build_report(
         with tracing(trace_file, debug=debug_trace):
             return _build(
                 app, scale, seed, trace_file, partition_config, faults,
-                skip_passes, pass_order, backend, backend_options,
+                skip_passes, pass_order,
             )
     return _build(
         app, scale, seed, None, partition_config, faults, skip_passes,
-        pass_order, backend, backend_options,
+        pass_order,
     )
 
 
@@ -193,8 +180,6 @@ def _build(
     faults: Optional[FaultPlan],
     skip_passes: Tuple[str, ...] = (),
     pass_order: Optional[Tuple[str, ...]] = None,
-    backend: str = "sim",
-    backend_options: Optional[Dict] = None,
 ) -> Dict:
     from repro.pipeline.session import session_for
 
@@ -252,31 +237,6 @@ def _build(
         healthy_metrics, phases["simulate_healthy"] = _timed(healthy_run)
         faults_section = _faults_info(faults, optimized_metrics, healthy_metrics)
 
-    # The execution section (schema v4): the sim backend's execution is
-    # the optimized metrics themselves, so it records only the backend
-    # name; the runtime backend actually executes the schedule on host
-    # threads and records what it observed against the sim forecast.
-    execution_section: Dict = {"backend": "sim"}
-    if backend != "sim":
-        from repro.exec.backend import get_backend
-        from repro.exec.runtime import movement_agreement
-
-        exec_backend = get_backend(backend, **(backend_options or {}))
-
-        def runtime_run():
-            optimized_machine.mcdram.reset()
-            return exec_backend.run(optimized_machine, partition.units())
-
-        execution, phases[f"execute_{backend}"] = _timed(runtime_run)
-        execution_section = execution.to_json()
-        execution_section["forecast_movement"] = optimized_metrics.data_movement
-        execution_section["agreement"] = round(
-            movement_agreement(
-                execution.data_movement, optimized_metrics.data_movement
-            ),
-            6,
-        )
-
     heatmap = LinkStats.from_link_flits(
         optimized_machine.mesh.cols,
         optimized_machine.mesh.rows,
@@ -301,7 +261,6 @@ def _build(
             **session.to_json(),
             "pass_seconds": session.pass_seconds(),
         },
-        "execution": execution_section,
         "trace_file": trace_file,
         "faults": faults_section,
     }
@@ -378,16 +337,6 @@ def summary_lines(report: Dict) -> List[str]:
             for name, seconds in report["phase_seconds"].items()
         ),
     ]
-    execution = report.get("execution")
-    if execution is not None and execution.get("backend") != "sim":
-        lines.append(
-            f"execution          : backend={execution['backend']} "
-            f"workers={execution['workers']} "
-            f"observed={execution['observed_movement']} "
-            f"forecast={execution['forecast_movement']} "
-            f"agreement={execution['agreement']:.4f} "
-            f"violations={execution['sync_violations']}"
-        )
     faults = report.get("faults")
     if faults is not None:
         comparison = faults["degraded_vs_healthy"]

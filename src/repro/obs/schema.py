@@ -8,10 +8,10 @@ regression dashboards, the golden-file tests) may rely on, and
 dependencies.  Bump :data:`REPORT_SCHEMA_VERSION` on any breaking change
 and keep the old fields readable for one version.
 
-Schema (version 4)::
+Schema (version 5)::
 
     {
-      "schema_version": 4,
+      "schema_version": 5,
       "kind": "repro.report",
       "app": "ocean", "scale": 1, "seed": 0,
       "machine": {
@@ -55,16 +55,6 @@ Schema (version 4)::
         "faults_fingerprint": null,    # or the plan's fingerprint string
         "check": false
       },
-      "execution": {                   # v4: which backend executed the run
-        "backend": "sim"               # the default; nothing else to say —
-                                       # default/optimized ARE its numbers
-        # runtime backend adds its scheduler observations:
-        # "workers": 1, "seed": 0, "tasks_executed": 7680,
-        # "observed_movement": 44787,  # flit-hops the runtime itself charged
-        # "forecast_movement": 44787,  # the simulator's DataMovement
-        # "agreement": 0.0,            # |observed-forecast|/forecast
-        # "sync_count": 2485, "sync_violations": 0, "wall_seconds": 0.41
-      },
       "trace_file": "/tmp/t.jsonl",    # or null
       "faults": null                   # healthy run; object on degraded runs:
       # {
@@ -100,8 +90,10 @@ Version history: v1 had no ``faults`` field; v2 added it; v3 added the
 ``pipeline`` section (pass order, skipped passes, per-pass wall times,
 session identity); v4 added the ``execution`` section (which backend
 executed the run, and the runtime backend's observed-vs-forecast
-movement agreement).  v1 through v3 documents still validate — each
-section is required only from the version that introduced it.
+movement agreement); v5 removed it again, because the simulator is the
+only way a report executes a schedule.  v1 through v4 documents still
+validate — each section is required only in the versions that carry it,
+and a v4 ``execution`` section is checked as before.
 
 Validate from the command line (exit code 0 = valid)::
 
@@ -114,14 +106,15 @@ import json
 import sys
 from typing import Any, Dict, List
 
-REPORT_SCHEMA_VERSION = 4
+REPORT_SCHEMA_VERSION = 5
 REPORT_KIND = "repro.report"
 
 #: schema versions validate_report still accepts
-#: (v1 = pre-faults, v2 = pre-pipeline, v3 = pre-execution).
-SUPPORTED_SCHEMA_VERSIONS = (1, 2, 3, 4)
+#: (v1 = pre-faults, v2 = pre-pipeline, v3 = pre-execution,
+#: v4 = with the execution section).
+SUPPORTED_SCHEMA_VERSIONS = (1, 2, 3, 4, 5)
 
-#: backend names an ``execution`` section may carry.
+#: backend names a v4 ``execution`` section may carry.
 EXECUTION_BACKENDS = ("sim", "runtime")
 
 #: field name -> required python type(s), for the flat top-level checks.
@@ -207,7 +200,7 @@ _PIPELINE_FIELDS: Dict[str, Any] = {
     "config": dict,
 }
 
-#: required fields of the ``execution`` section (v4+) when the backend
+#: required fields of the v4 ``execution`` section when the backend
 #: is the task runtime; a sim execution carries only the backend name.
 _RUNTIME_EXECUTION_FIELDS: Dict[str, Any] = {
     "workers": int,
@@ -302,10 +295,10 @@ def validate_report(report: Any) -> List[str]:
         else:
             errors.extend(_validate_pipeline(report["pipeline"]))
 
-    if report.get("schema_version") not in (1, 2, 3):
+    if report.get("schema_version") == 4:
         if "execution" not in report:
             errors.append(
-                "report: missing field 'execution' (required from v4)"
+                "report: missing field 'execution' (required in v4)"
             )
         else:
             errors.extend(_validate_execution(report["execution"]))

@@ -81,9 +81,6 @@ class Artifacts(dict):
     split_plan          split       {(nest, body): split?}
     partition           schedule    core.partitioner.PartitionResult
     generated_code      codegen     core.codegen.GeneratedCode
-    backend             (caller)    str backend name ('sim'/'runtime')
-    backend_options     (caller)    {kwarg: value} for get_backend
-    execution           execute     exec.backend.ExecutionResult
     ==================  ==========  =====================================
     """
 
@@ -109,7 +106,6 @@ _PRODUCERS = {
     "split_plan": "split",
     "partition": "schedule",
     "generated_code": "codegen",
-    "execution": "execute",
 }
 
 
@@ -649,38 +645,6 @@ class CodegenPass(Pass):
 
         partition = artifacts.require("partition", self.info.name)
         artifacts["generated_code"] = generate_for_partition(partition)
-
-
-@register_pass
-class ExecutePass(Pass):
-    """Run the compiled schedule through an execution backend.
-
-    Registered but not in the default order — compiling does not imply
-    executing.  The backend choice rides in as artifacts seeded by the
-    caller (``backend`` name, optional ``backend_options`` kwargs for
-    :func:`repro.exec.backend.get_backend`); absent, the simulator runs
-    with defaults, matching the historical compile-then-simulate flow.
-    """
-
-    info = PassInfo("execute", "§5", "repro.exec", default=False)
-
-    def run(self, session, artifacts: Artifacts) -> None:
-        from repro.exec.backend import get_backend
-
-        partition = artifacts.require("partition", self.info.name)
-        name = artifacts.get("backend", "sim")
-        options = artifacts.get("backend_options", {})
-        backend = get_backend(name, **options)
-        machine = session.machine
-        with session.tracer.span("execute.backend", backend=name) as span:
-            machine.mcdram.reset()
-            result = backend.run(machine, partition.units())
-            span.add(
-                data_movement=result.data_movement,
-                sync_count=result.sync_count,
-                units=result.unit_count,
-            )
-        artifacts["execution"] = result
 
 
 #: The registry's default order: every non-inline default pass in the

@@ -98,13 +98,6 @@ def compile_artifact(request: CompileRequest) -> Dict:
     the pipeline shape that produced it, and the compile products the
     report path exposes (:func:`repro.obs.report._plan_info`'s plan
     object plus the headline movement/statement counts).  No wall times.
-
-    A ``backend: runtime`` request additionally *executes* the compiled
-    schedule on the task runtime and embeds the observed accounting as an
-    ``execution`` section.  The runtime is pinned to its reproducible
-    mode (one worker, seed 0) so the observed movement — and therefore
-    the artifact bytes — stay a pure function of the request; wall time
-    is excluded for the same reason.
     """
     from repro.obs.report import _plan_info
     from repro.pipeline import compile_program, session_for
@@ -120,7 +113,7 @@ def compile_artifact(request: CompileRequest) -> Dict:
         pass_order=pass_order,
     )
     partition = compile_program(program, session)
-    artifact = {
+    return {
         "kind": ARTIFACT_KIND,
         "version": ARTIFACT_VERSION,
         "fingerprint": request.fingerprint(),
@@ -133,45 +126,6 @@ def compile_artifact(request: CompileRequest) -> Dict:
         "movement": partition.movement,
         "statement_count": partition.statement_count,
         "unit_count": len(partition.units()),
-    }
-    if request.backend == "runtime":
-        artifact["execution"] = _execute_runtime(machine, partition)
-    return artifact
-
-
-def _execute_runtime(machine, partition) -> Dict:
-    """Run the compiled schedule on the task runtime (deterministically).
-
-    One worker, seed 0: the completion order — and with it the replica
-    caches' fill sequence and the observed movement — is identical on
-    every run, preserving the artifact's byte-identity guarantee.  The
-    agreement is computed against the simulator's measured movement (the
-    forecast), not the partitioner's cost-model prediction, which is
-    what the ``movement`` field above records.
-    """
-    from repro.exec.backend import SimBackend
-    from repro.exec.runtime import RuntimeBackend, movement_agreement
-
-    units = partition.units()
-    machine.mcdram.reset()
-    forecast = SimBackend().run(machine, units)
-    machine.mcdram.reset()
-    execution = RuntimeBackend(workers=1, seed=0).run(machine, units)
-    return {
-        "backend": execution.backend,
-        "workers": execution.workers,
-        "seed": execution.seed,
-        "tasks_executed": execution.tasks_executed,
-        "observed_movement": execution.data_movement,
-        "forecast_movement": forecast.data_movement,
-        "agreement": round(
-            movement_agreement(
-                execution.data_movement, forecast.data_movement
-            ),
-            6,
-        ),
-        "sync_count": execution.sync_count,
-        "sync_violations": len(execution.sync_violations),
     }
 
 

@@ -13,9 +13,8 @@ resolved to an explicit value (defaults filled in, ``skip_passes``
 sorted, the fault plan reduced to its canonical ``to_json`` form).  Two
 requests that could compile to different artifacts must never share a
 fingerprint — in particular the predictor choice (``trace`` vs
-``analytic``), the skip-pass set, and the execution backend (``sim`` vs
-``runtime``) are part of the key, because each changes the compile
-result while leaving the program untouched
+``analytic``) and the skip-pass set are part of the key, because each
+changes the compile result while leaving the program untouched
 (``tests/test_serve_fingerprint.py`` plants exactly those collisions).
 
 The ``debug`` field is deliberately **excluded** from the canonical form:
@@ -80,7 +79,7 @@ TINY_APP = "tiny"
 
 _REQUEST_FIELDS = {
     "version", "app", "program", "scale", "seed", "machine",
-    "predictor", "backend", "skip_passes", "faults", "debug",
+    "predictor", "skip_passes", "faults", "debug",
 }
 
 _PROGRAM_FIELDS = {"name", "arrays", "nests"}
@@ -175,7 +174,6 @@ class CompileRequest:
     seed: int = 0
     machine: str = "small"
     predictor: str = "trace"
-    backend: str = "sim"
     skip_passes: Tuple[str, ...] = ()
     faults: Optional[FaultPlan] = None
     #: Test-only execution hooks; excluded from the fingerprint and only
@@ -235,14 +233,6 @@ class CompileRequest:
                 f"unknown predictor {predictor!r} "
                 f"(known: {', '.join(PREDICTORS)})"
             )
-        from repro.exec.backend import BACKEND_NAMES
-
-        backend = data.get("backend", "sim")
-        if backend not in BACKEND_NAMES:
-            raise ServeError(
-                f"unknown backend {backend!r} "
-                f"(known: {', '.join(BACKEND_NAMES)})"
-            )
 
         skip_raw = data.get("skip_passes", [])
         _require_type(skip_raw, list, "request field 'skip_passes'")
@@ -275,7 +265,6 @@ class CompileRequest:
             seed=seed,
             machine=machine,
             predictor=predictor,
-            backend=backend,
             skip_passes=skip,
             faults=faults,
             debug=dict(debug),
@@ -294,9 +283,9 @@ class CompileRequest:
         Every optional field appears with its resolved value, so requests
         that differ only in *spelling* (defaults implicit vs explicit,
         skip-pass order) canonicalize identically, while requests that
-        differ in *meaning* — including predictor choice, execution
-        backend, and skip-pass set — never do.  ``debug`` is excluded:
-        hooks never change the artifact.
+        differ in *meaning* — including predictor choice and skip-pass
+        set — never do.  ``debug`` is excluded: hooks never change the
+        artifact.
         """
         return {
             "version": REQUEST_VERSION,
@@ -306,7 +295,6 @@ class CompileRequest:
             "seed": self.seed,
             "machine": self.machine,
             "predictor": self.predictor,
-            "backend": self.backend,
             "skip_passes": list(self.skip_passes),
             "faults": None if self.faults is None else self.faults.to_json(),
         }
@@ -326,8 +314,6 @@ class CompileRequest:
         extras = []
         if self.predictor != "trace":
             extras.append(f"predictor={self.predictor}")
-        if self.backend != "sim":
-            extras.append(f"backend={self.backend}")
         if self.skip_passes:
             extras.append(f"skip={','.join(self.skip_passes)}")
         if self.faults is not None:

@@ -47,10 +47,12 @@ def workload_specs() -> List[WorkloadSpec]:
 
 
 def build_workload(name: str, scale: int = 1, seed: int = 0) -> Program:
-    """Build one workload by name."""
+    """Build one workload by name; ``scale`` must be at least 1."""
     spec = _BY_NAME.get(name)
     if spec is None:
         raise WorkloadError(
             f"unknown workload {name!r}; known: {', '.join(ALL_WORKLOAD_NAMES)}"
         )
+    if scale < 1:
+        raise WorkloadError(f"workload scale must be >= 1, got {scale}")
     return spec.build(scale, seed)

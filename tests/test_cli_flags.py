@@ -88,38 +88,20 @@ class TestConflicts:
         assert "error:" in capsys.readouterr().err
 
 
-class TestBackendFlags:
-    def test_report_runtime_backend_composes(self, tmp_path, capsys):
-        out = str(tmp_path / "report.json")
-        argv = [
-            "report", "tiny",
-            "--backend", "runtime", "--backend-workers", "1", "--out", out,
-        ]
-        assert main(argv) == 0
-        report = json.loads(open(out).read())
-        assert report["execution"]["backend"] == "runtime"
-        assert report["execution"]["sync_violations"] == 0
-        assert "backend=runtime" in capsys.readouterr().out
-
-    def test_runtime_options_under_sim_backend_exit_two(self, capsys):
-        assert main(["report", "tiny", "--backend-workers", "2"]) == 2
-        err = capsys.readouterr().err
-        assert "--backend-workers" in err and "--backend runtime" in err
-
-    def test_seed_with_multiple_workers_exits_two(self, capsys):
-        argv = [
-            "report", "tiny",
-            "--backend", "runtime",
-            "--backend-seed", "3", "--backend-workers", "2",
-        ]
+class TestBadValues:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["faults", "--links", "-1"],
+            ["faults", "--nodes", "-1"],
+            ["report", "cholesky", "--scale", "-1"],
+            ["report", "barnes", "--scale", "0"],
+            ["compare", "fft", "--scale", "-2"],
+        ],
+    )
+    def test_negative_count_or_scale_exits_two(self, argv, tmp_path, capsys):
+        if argv[0] != "compare":
+            argv = argv + ["--out", str(tmp_path / "report.json")]
         assert main(argv) == 2
-        assert "--backend-workers 1" in capsys.readouterr().err
-
-    def test_runtime_backend_with_faults_exits_two(self, plan_file, capsys):
-        argv = [
-            "report", "tiny",
-            "--backend", "runtime", "--faults", plan_file,
-        ]
-        assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert "--faults" in err and "--backend" in err
+        assert "must be >= " in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()

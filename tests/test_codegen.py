@@ -1,21 +1,19 @@
 """Direct unit tests for repro.core.codegen (paper Figure 8).
 
-The generator has two outputs and both are pinned here: the per-node
-text *listing* (grouping, sync-wait emission, operator chains) and the
-structured :class:`TaskSpec` records the execution backends consume
-(dataflow deps, the cross-node ``sync_deps`` subset, store/cost
-metadata).  The two must agree: every ``sync(T<uid>)`` the listing
+Pins the per-node text *listing* (grouping, sync-wait emission, operator
+chains) and its agreement with the structured :class:`TaskSpec` records
+the schedule-replay oracle builds (dataflow deps, the cross-node
+``sync_deps`` subset, the store): every ``sync(T<uid>)`` the listing
 renders is exactly a ``sync_deps`` entry of some task.
 """
 
 import re
 
+from repro.check.replay import task_spec_of, task_specs
 from repro.core.codegen import (
     GeneratedCode,
     generate_code,
     generate_for_partition,
-    task_spec_of,
-    task_specs,
 )
 from repro.core.scheduler import StatementSchedule
 from repro.core.subcomputation import GatheredInput, SubResult, Subcomputation
@@ -118,7 +116,6 @@ class TestListing:
         assert code.nodes() == []
         assert code.listing() == ""
         assert code.line_count() == 0
-        assert code.tasks == ()
 
 
 class TestTaskSpecs:
@@ -131,7 +128,6 @@ class TestTaskSpecs:
         assert spec.sync_deps == (10,)
         assert spec.reads == (Access("D", 0),)
         assert spec.store == Access("A", 0)
-        assert spec.is_final
 
     def test_same_node_dep_is_not_a_sync_dep(self):
         child, final = split_pair(producer_node=3, consumer_node=3)
@@ -143,24 +139,20 @@ class TestTaskSpecs:
         child, _ = split_pair()
         spec = task_spec_of(child)
         assert spec.store is None
-        assert not spec.is_final
         assert spec.deps == ()
 
     def test_task_specs_preserve_order(self):
         child, final = split_pair()
         assert [t.uid for t in task_specs([child, final])] == [10, 11]
 
-    def test_generate_code_emits_tasks(self):
-        child, final = split_pair()
-        code = generate_code([schedule_of(child, final)])
-        assert [t.uid for t in code.tasks] == [10, 11]
-
     def test_listing_syncs_match_sync_deps(self):
         child, final = split_pair(producer_node=1, consumer_node=2)
         code = generate_code([schedule_of(child, final)])
         rendered = set(re.findall(r"sync\(T(\d+)\)", code.listing()))
         declared = {
-            str(uid) for task in code.tasks for uid in task.sync_deps
+            str(uid)
+            for task in task_specs([child, final])
+            for uid in task.sync_deps
         }
         assert rendered == declared
 
@@ -173,11 +165,11 @@ class TestPartitionIntegration:
         partition = compile_program(program, session_for(machine))
         code = generate_for_partition(partition)
         assert code.line_count() > 0
-        assert len(code.tasks) == len(partition.units())
-        uids = {t.uid for t in code.tasks}
+        tasks = task_specs(partition.units())
+        uids = {t.uid for t in tasks}
         rendered = set(re.findall(r"sync\(T(\d+)\)", code.listing()))
         assert {int(u) for u in rendered} <= uids
         declared_syncs = {
-            str(uid) for task in code.tasks for uid in task.sync_deps
+            str(uid) for task in tasks for uid in task.sync_deps
         }
         assert rendered == declared_syncs

@@ -1,10 +1,12 @@
 """Unit and property tests for the Parla-style task runtime.
 
-Covers the :class:`TaskSpace` / ``spawn`` / :class:`TaskRuntime` layer in
-isolation: dependency ordering, priority dispatch, seeded-deterministic
-scheduling, cycle/double-spawn/unspawned-dep failure modes, and a
-Hypothesis property that every dependency completes before its consumer
-starts on randomly generated DAGs under seeded scheduling.
+Covers the :class:`TaskSpace` / ``spawn`` / :class:`TaskRuntime` layer of
+:mod:`repro.check.taskspace`, the substrate of the schedule-replay
+oracle, in isolation: dependency ordering, priority dispatch,
+seeded-deterministic scheduling, cycle/double-spawn/unspawned-dep
+failure modes, and a Hypothesis property that every dependency
+completes before its consumer starts on randomly generated DAGs under
+seeded scheduling.
 """
 
 import threading
@@ -12,7 +14,7 @@ import threading
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.exec import TaskError, TaskRuntime, TaskSpace, spawn
+from repro.check.taskspace import TaskError, TaskRuntime, TaskSpace, spawn
 
 
 def record_body(log, lock, name):

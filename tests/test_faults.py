@@ -118,6 +118,14 @@ def test_random_plan_gives_up_on_an_always_disconnected_mesh():
 
 
 @pytest.mark.parametrize(
+    "count", ["link_count", "node_count", "degraded_channel_count"]
+)
+def test_random_plan_rejects_a_negative_count(count):
+    with pytest.raises(FaultError, match=f"{count} must be >= 0, got -1"):
+        random_plan(4, 4, seed=0, **{count: -1})
+
+
+@pytest.mark.parametrize(
     "text",
     [
         "not json",

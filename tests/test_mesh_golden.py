@@ -24,11 +24,13 @@ from repro.obs.report import build_report
 from repro.sim.engine import SimConfig, Simulator
 from repro.workloads.damov import DAMOV_CLASSES, classify_program, damov_suite
 
-#: Volatile report fields scrubbed before hashing (timings, file paths,
-#: the pipeline section — per-pass wall-clock seconds — and the fields
-#: later schema versions added on top of the seed revision's reports).
+#: Volatile report fields scrubbed before hashing: timings, file paths,
+#: the schema version, and the pipeline section (per-pass wall-clock
+#: seconds) that schema v3 added on top of the seed revision's reports.
+#: Schema v5 dropped v4's execution section, so a stray one changes the
+#: digest.
 VOLATILE = (
-    "schema_version", "phase_seconds", "trace_file", "pipeline", "execution",
+    "schema_version", "phase_seconds", "trace_file", "pipeline",
 )
 
 #: sha256 of the scrubbed 6x6 reports, captured on the seed revision

@@ -97,72 +97,42 @@ def test_summary_lines_mention_headline_numbers(tiny_report):
     assert "tiny" in text
 
 
-def test_sim_execution_section_is_name_only(tiny_report):
-    # The default backend must not perturb the report beyond the marker:
-    # bit-identity with pre-refactor reports is guarded by the golden
-    # diff in test_pipeline.py.
-    assert tiny_report["execution"] == {"backend": "sim"}
+def test_v5_report_has_no_execution_section(tiny_report):
+    assert tiny_report["schema_version"] == REPORT_SCHEMA_VERSION == 5
+    assert "execution" not in tiny_report
 
 
-class TestRuntimeBackendReport:
-    @pytest.fixture(scope="class")
-    def runtime_report(self):
-        return build_report(
-            "tiny", backend="runtime", backend_options={"workers": 1}
-        )
-
-    def test_schema_valid(self, runtime_report):
-        assert validate_report(runtime_report) == []
-
-    def test_execution_section_contents(self, runtime_report):
-        execution = runtime_report["execution"]
-        assert execution["backend"] == "runtime"
-        assert execution["workers"] == 1
-        assert execution["sync_violations"] == 0
-        assert execution["agreement"] == 0.0
-        assert (
-            execution["observed_movement"] == execution["forecast_movement"]
-        )
-        assert (
-            execution["forecast_movement"]
-            == runtime_report["optimized"]["data_movement"]
-        )
-
-    def test_execute_phase_timed(self, runtime_report):
-        assert "execute_runtime" in runtime_report["phase_seconds"]
-
-    def test_summary_mentions_execution(self, runtime_report):
-        text = "\n".join(summary_lines(runtime_report))
-        assert "backend=runtime" in text
-        assert "agreement" in text
+def as_v4(report, execution=None):
+    """A copy of ``report`` as schema v4 wrote it, with ``execution``."""
+    old = copy.deepcopy(report)
+    old["schema_version"] = 4
+    if execution is not None:
+        old["execution"] = execution
+    return old
 
 
 class TestSchemaV4Validation:
     def test_v3_report_without_execution_still_validates(self, tiny_report):
         old = copy.deepcopy(tiny_report)
         old["schema_version"] = 3
-        del old["execution"]
         assert validate_report(old) == []
 
     def test_v4_requires_execution(self, tiny_report):
-        bad = copy.deepcopy(tiny_report)
-        del bad["execution"]
+        assert validate_report(as_v4(tiny_report, {"backend": "sim"})) == []
+        bad = as_v4(tiny_report)
         assert any("execution" in e for e in validate_report(bad))
 
     def test_unknown_backend_rejected(self, tiny_report):
-        bad = copy.deepcopy(tiny_report)
-        bad["execution"] = {"backend": "verilator"}
+        bad = as_v4(tiny_report, {"backend": "verilator"})
         assert any("backend" in e for e in validate_report(bad))
 
     def test_runtime_execution_requires_scheduler_fields(self, tiny_report):
-        bad = copy.deepcopy(tiny_report)
-        bad["execution"] = {"backend": "runtime"}
+        bad = as_v4(tiny_report, {"backend": "runtime"})
         errors = validate_report(bad)
         assert any("workers" in e for e in errors)
 
     def test_inconsistent_agreement_rejected(self, tiny_report):
-        bad = copy.deepcopy(tiny_report)
-        bad["execution"] = {
+        execution = {
             "backend": "runtime",
             "workers": 1,
             "seed": None,
@@ -171,9 +141,12 @@ class TestSchemaV4Validation:
             "forecast_movement": 100,
             "sync_count": 0,
             "sync_violations": 0,
-            "agreement": 0.5,  # |100-100|/100 is 0.0, not 0.5
+            "agreement": 0.0,
             "wall_seconds": 0.01,
         }
+        assert validate_report(as_v4(tiny_report, execution)) == []
+        execution["agreement"] = 0.5  # |100-100|/100 is 0.0, not 0.5
+        bad = as_v4(tiny_report, execution)
         assert any("agreement" in e for e in validate_report(bad))
 
 

@@ -102,6 +102,23 @@ class TestHttpSurface:
         assert excinfo.value.status == 400
         assert "unknown app" in str(excinfo.value)
 
+    @pytest.mark.parametrize(
+        "request_json, message",
+        [
+            ({**TINY, "backend": "runtime"}, "unknown request field"),
+            ({**TINY, "skip_passes": ["execute"]}, "unknown pass name"),
+        ],
+    )
+    def test_retired_execution_fields_are_400(
+        self, daemon, request_json, message
+    ):
+        with ServeClient(daemon.url) as client:
+            with pytest.raises(ServeResponseError) as excinfo:
+                client.compile(request_json)
+            assert client.healthz() == {"status": "ok"}
+        assert excinfo.value.status == 400
+        assert message in str(excinfo.value)
+
     def test_unknown_path_is_404(self, daemon):
         with ServeClient(daemon.url) as client:
             with pytest.raises(ServeResponseError) as excinfo:

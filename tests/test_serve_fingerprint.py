@@ -64,15 +64,6 @@ class TestPlantedCollisions:
         }
         assert fp(TINY) != fp(faulty)
 
-    def test_backend_changes_fingerprint(self):
-        # The planted collision for the execution-backend dimension: a
-        # runtime request embeds an execution section a sim artifact
-        # lacks, so a shared key would serve the wrong artifact.
-        assert fp(TINY) != fp({**TINY, "backend": "runtime"})
-
-    def test_explicit_sim_backend_matches_default(self):
-        assert fp(TINY) == fp({**TINY, "backend": "sim"})
-
     def test_predictor_really_changes_the_artifact(self):
         """The collision is not hypothetical: the bytes differ too."""
         trace = compile_bytes(CompileRequest.from_json(dict(TINY)))
@@ -80,20 +71,6 @@ class TestPlantedCollisions:
             CompileRequest.from_json({**TINY, "predictor": "analytic"})
         )
         assert trace != analytic
-
-    def test_backend_really_changes_the_artifact(self):
-        sim = json.loads(compile_bytes(CompileRequest.from_json(dict(TINY))))
-        runtime = json.loads(
-            compile_bytes(
-                CompileRequest.from_json({**TINY, "backend": "runtime"})
-            )
-        )
-        assert "execution" not in sim
-        execution = runtime["execution"]
-        assert execution["backend"] == "runtime"
-        assert (execution["workers"], execution["seed"]) == (1, 0)
-        assert execution["sync_violations"] == 0
-        assert execution["agreement"] == 0.0
 
 
 class TestCanonicalization:
@@ -156,12 +133,16 @@ class TestValidation:
             CompileRequest.from_json({**TINY, "predictor": "oracle"})
 
     def test_unknown_backend(self):
-        with pytest.raises(ServeError, match="unknown backend"):
-            CompileRequest.from_json({**TINY, "backend": "verilator"})
+        # Schedules execute one way; the retired backend field is unknown
+        # whatever its value.
+        for backend in ("sim", "runtime"):
+            with pytest.raises(ServeError, match="unknown request field"):
+                CompileRequest.from_json({**TINY, "backend": backend})
 
     def test_unknown_skip_pass(self):
-        with pytest.raises(ServeError, match="skip_passes"):
-            CompileRequest.from_json({**TINY, "skip_passes": ["nope"]})
+        for name in ("nope", "execute"):
+            with pytest.raises(ServeError, match=f"skip_passes: {name}"):
+                CompileRequest.from_json({**TINY, "skip_passes": [name]})
 
     def test_unknown_machine(self):
         with pytest.raises(ServeError, match="machine preset"):
@@ -188,12 +169,6 @@ class TestValidation:
 class TestDeterminism:
     def test_compile_bytes_deterministic(self):
         request = CompileRequest.from_json(dict(TINY))
-        assert compile_bytes(request) == compile_bytes(request)
-
-    def test_runtime_backend_bytes_deterministic(self):
-        # The runtime execution is pinned to workers=1 seed=0, so even
-        # the executed artifact must be byte-identical across compiles.
-        request = CompileRequest.from_json({**TINY, "backend": "runtime"})
         assert compile_bytes(request) == compile_bytes(request)
 
     def test_artifact_records_its_own_fingerprint(self):

@@ -24,6 +24,11 @@ class TestRegistry:
         with pytest.raises(WorkloadError):
             build_workload("doom")
 
+    @pytest.mark.parametrize("scale", [0, -1])
+    def test_non_positive_scale_rejected(self, scale):
+        with pytest.raises(WorkloadError, match="scale must be >= 1"):
+            build_workload("cholesky", scale=scale)
+
 
 @pytest.mark.parametrize("app", APPS)
 class TestEveryWorkload:
