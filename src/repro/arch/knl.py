@@ -62,7 +62,7 @@ def mesh_machine(
     node count (0 = auto); passing an explicit count lets callers model
     more (or fewer) bankless tiles.  The 8KB L1 matches
     :func:`repro.experiments.common.paper_machine`'s scaling argument so
-    mesh-sweep results stay comparable with the 6x6 evaluation numbers.
+    larger-mesh results stay comparable with the 6x6 evaluation numbers.
     """
     if cols < 2 or rows < 2:
         raise ConfigurationError(

@@ -11,8 +11,8 @@ Each statement instance becomes a single subcomputation on its chunk's
 node: the node gathers all inputs, computes, and stores the result — the
 execution model our partitioner is compared against everywhere.
 
-Two interchangeable preference searches rank the candidate nodes of each
-chunk (DESIGN.md section 14):
+Two preference searches rank the candidate nodes of each chunk
+(DESIGN.md section 14):
 
 * **flat** — sort *every* alive node by referenced-data residency, the
   historical algorithm.  Exact, and cheap at the paper's 36 tiles.
@@ -21,14 +21,14 @@ chunk (DESIGN.md section 14):
   (typically few) nodes that actually hold referenced data inside each
   leaf region; the cold remainder keeps a precomputed region order.
 
-``search="auto"`` (the default) picks flat at or below
-:data:`HIERARCHICAL_NODE_THRESHOLD` nodes — so the 6x6 evaluation mesh
-and the 4x4 test machine stay bit-identical to the historical flat
-search — and hierarchical above it.  Placement is a small layer of a
-16x16 compile either way: in the benchmark's traced seed-0
-``mesh16-degraded`` pass, ranking (``placement.rank``) is 0.0014 and all
-of placement (``placement.place``) 0.023 of the pass (DESIGN.md section
-14.2).
+The alive-node count picks the search: flat at or below
+:data:`HIERARCHICAL_NODE_THRESHOLD` nodes — so the 6x6 evaluation mesh,
+the 4x4 test machine and a healthy 8x8 mesh stay bit-identical to the
+historical flat search — and hierarchical above it.  Placement is a
+small layer of a 16x16 compile either way: in the benchmark's traced
+seed-0 ``mesh16-degraded`` pass, ranking (``placement.rank``) is 0.0014
+and all of placement (``placement.place``) 0.023 of the pass (DESIGN.md
+section 14.2).
 """
 
 from __future__ import annotations
@@ -42,16 +42,19 @@ import numpy as np
 from repro import check
 from repro.arch.machine import Machine
 from repro.core.subcomputation import GatheredInput, Subcomputation
-from repro.errors import ConfigurationError
 from repro.ir.loop import LoopNest
 from repro.ir.program import Program
 from repro.ir.statement import StatementInstance
 
-#: Above this many alive nodes, ``search="auto"`` switches the chunk
-#: preference ranking from the flat sort to the hierarchical
-#: quadrant-decomposed search.  64 keeps every historical mesh (4x4,
-#: 6x6, up to 8x8) on the flat path, bit-identical to the seed.
+#: Above this many alive nodes, the chunk preference ranking switches
+#: from the flat sort to the hierarchical quadrant-decomposed search.
+#: 64 keeps every historical mesh (4x4, 6x6, up to 8x8) on the flat
+#: path, bit-identical to the seed.
 HIERARCHICAL_NODE_THRESHOLD = 64
+
+#: Soft per-node load cap of the chunk assignment, as a multiple of the
+#: even share ``chunks / alive nodes``.
+LOAD_CAP_FACTOR = 2.0
 
 #: Region size at which the hierarchical decomposition stops splitting;
 #: within a leaf the (few) data-holding nodes are sorted exactly.
@@ -121,34 +124,17 @@ def placement_from_assignment(
 
 
 class DefaultPlacement:
-    """Profile-guided chunk placement (the paper's default strategy).
+    """Profile-guided chunk placement (the paper's default strategy)."""
 
-    ``search`` selects the preference ranking: ``"auto"`` (flat at or
-    below :data:`HIERARCHICAL_NODE_THRESHOLD` alive nodes, hierarchical
-    above), or an explicit ``"flat"`` / ``"hierarchical"`` for the
-    mesh-sweep's A/B measurements.
-    """
-
-    def __init__(
-        self,
-        machine: Machine,
-        load_cap_factor: float = 2.0,
-        search: str = "auto",
-    ):
-        if search not in ("auto", "flat", "hierarchical"):
-            raise ConfigurationError(
-                f"unknown placement search {search!r}; "
-                "choose 'auto', 'flat', or 'hierarchical'"
-            )
+    def __init__(self, machine: Machine):
         self.machine = machine
-        self.load_cap_factor = load_cap_factor
-        self.search = search
         self._tree = None
 
     def uses_hierarchical(self, alive_count: Optional[int] = None) -> bool:
-        """Whether this placement ranks with the hierarchical search."""
-        if self.search != "auto":
-            return self.search == "hierarchical"
+        """Whether ranking ``alive_count`` nodes takes the hierarchical search.
+
+        ``alive_count`` defaults to the machine's alive-node count.
+        """
         if alive_count is None:
             alive_count = len(self.machine.alive_nodes())
         return alive_count > HIERARCHICAL_NODE_THRESHOLD
@@ -172,16 +158,10 @@ class DefaultPlacement:
         return counts, alive
 
     def rank_preferences(
-        self,
-        counts: List[Dict[int, int]],
-        alive: List[int],
-        search: Optional[str] = None,
+        self, counts: List[Dict[int, int]], alive: List[int]
     ) -> List[List[int]]:
         """Per chunk, every alive node ranked by residency preference."""
-        search = search or self.search
-        if search == "hierarchical" or (
-            search == "auto" and self.uses_hierarchical(len(alive))
-        ):
+        if self.uses_hierarchical(len(alive)):
             preferences = self._rank_hierarchical(counts)
             if check.enabled():
                 from repro.check.invariants import check_preferences_cover_alive
@@ -312,45 +292,42 @@ class DefaultPlacement:
         leaves, leaf_of, (lo, hi, pos) = self._region_tree()
         leaf_count = len(leaves)
         chunk_count = len(counts)
+        # Above HIERARCHICAL_NODE_THRESHOLD nodes the mesh splits into
+        # several leaves, so there is at least one tree level.
         depth = lo.shape[0]
-        if depth == 0:
-            # A single leaf (tiny mesh under explicit search="hierarchical"):
-            # the descent degenerates to one exact sort per chunk.
-            order_rows = [[0]] * chunk_count
-        else:
-            total = sum(map(len, counts))
-            homes = np.empty(total, dtype=np.intp)
-            weights = np.empty(total, dtype=np.float64)
-            chunk_ids = np.empty(total, dtype=np.intp)
-            base = 0
-            for index, chunk_counts in enumerate(counts):
-                k = len(chunk_counts)
-                if k == 0:
-                    continue
-                homes[base : base + k] = np.fromiter(
-                    chunk_counts.keys(), dtype=np.intp, count=k
-                )
-                weights[base : base + k] = np.fromiter(
-                    chunk_counts.values(), dtype=np.float64, count=k
-                )
-                chunk_ids[base : base + k] = index
-                base += k
-            sums = np.bincount(
-                chunk_ids * leaf_count + leaf_of[homes],
-                weights=weights,
-                minlength=chunk_count * leaf_count,
-            ).reshape(chunk_count, leaf_count)
-            prefix = np.zeros((chunk_count, leaf_count + 1))
-            np.cumsum(sums, axis=1, out=prefix[:, 1:])
-            # One lexsort ranks every chunk's leaves at once.  Keys run
-            # least- to most-significant: at each tree level the ancestor
-            # subtree sum (descending) then its canonical sibling position,
-            # with the root children last (= primary).
-            keys = []
-            for d in range(depth - 1, -1, -1):
-                keys.append(np.broadcast_to(pos[d], (chunk_count, leaf_count)))
-                keys.append(prefix[:, lo[d]] - prefix[:, hi[d]])
-            order_rows = np.lexsort(tuple(keys), axis=-1).tolist()
+        total = sum(map(len, counts))
+        homes = np.empty(total, dtype=np.intp)
+        weights = np.empty(total, dtype=np.float64)
+        chunk_ids = np.empty(total, dtype=np.intp)
+        base = 0
+        for index, chunk_counts in enumerate(counts):
+            k = len(chunk_counts)
+            if k == 0:
+                continue
+            homes[base : base + k] = np.fromiter(
+                chunk_counts.keys(), dtype=np.intp, count=k
+            )
+            weights[base : base + k] = np.fromiter(
+                chunk_counts.values(), dtype=np.float64, count=k
+            )
+            chunk_ids[base : base + k] = index
+            base += k
+        sums = np.bincount(
+            chunk_ids * leaf_count + leaf_of[homes],
+            weights=weights,
+            minlength=chunk_count * leaf_count,
+        ).reshape(chunk_count, leaf_count)
+        prefix = np.zeros((chunk_count, leaf_count + 1))
+        np.cumsum(sums, axis=1, out=prefix[:, 1:])
+        # One lexsort ranks every chunk's leaves at once.  Keys run
+        # least- to most-significant: at each tree level the ancestor
+        # subtree sum (descending) then its canonical sibling position,
+        # with the root children last (= primary).
+        keys = []
+        for d in range(depth - 1, -1, -1):
+            keys.append(np.broadcast_to(pos[d], (chunk_count, leaf_count)))
+            keys.append(prefix[:, lo[d]] - prefix[:, hi[d]])
+        order_rows = np.lexsort(tuple(keys), axis=-1).tolist()
         preferences = []
         for index, row in enumerate(order_rows):
             chunk_counts = counts[index]
@@ -382,7 +359,7 @@ class DefaultPlacement:
         """Greedy profile assignment with a soft per-node load cap."""
         chunk_count = len(preferences)
         alive_count = len(self.machine.alive_nodes())
-        cap = max(1, int(self.load_cap_factor * chunk_count / alive_count))
+        cap = max(1, int(LOAD_CAP_FACTOR * chunk_count / alive_count))
         load = [0] * self.machine.node_count
         assignment = []
         for ranked in preferences:

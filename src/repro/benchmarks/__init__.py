@@ -1,1 +1,1 @@
-"""Timing harnesses for the compile (partition) and simulate pipelines."""
+"""Holds only :func:`repro.benchmarks.perf.tiny_app`; ``bench/`` measures."""

@@ -1,59 +1,20 @@
-"""Compile/simulate timing harness.
+"""The built-in tiny app: two statements sharing ``C(i)`` (paper Fig 11).
 
-``python -m repro.benchmarks.perf [--apps a,b | --tiny | --smoke]
-[--out FILE] [--trace FILE]`` times each pipeline phase per application
-— workload build, NDP
-partitioning (the compile step, including the window-size search),
-default-placement simulation, and optimized simulation — and writes the
-results to ``BENCH_compile.json``.
+It compiles and simulates in well under a second on the 4x4
+``small_machine()``, so tests, ``repro.cli report tiny`` and the serve
+daemon's ``tiny`` app use it.
 
-The JSON schema (version 1):
-
-    {
-      "version": 1,
-      "scale": 1, "seed": 0,
-      "apps": [
-        {"app": "barnes",
-         "phases": {"build": 0.01, "partition": 3.2,
-                    "simulate_default": 1.1, "simulate_optimized": 1.0},
-         "total_seconds": 5.31}
-      ],
-      "total_seconds": 5.31
-    }
-
-``--tiny`` benchmarks a built-in two-statement synthetic app on the
-small 4x4 machine instead of paper workloads; it finishes in well under
-a second, so the smoke test in ``tests/test_perf_harness.py`` (and
-``make bench-smoke``) can validate the harness inside tier 1.
-
-``--smoke`` benchmarks the :data:`SMOKE_APPS` subset of real workloads
-(the apps recorded in the committed ``BENCH_compile.json`` baseline) —
-what CI's bench-regression job runs and then compares with
-:mod:`repro.benchmarks.regression`.
+It lives here only because ``bench/`` imports it from this path
+(``bench/workload.py``, ``bench/test_bench.py``, ``bench/README.md``).
+The next benchmark change moves it to :mod:`repro.workloads` and updates
+those imports.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import time
-from typing import Callable, Dict, List, Optional
-
-from repro.arch.knl import small_machine
-from repro.arch.machine import Machine
-from repro.baselines.default_placement import DefaultPlacement
-from repro.core.partitioner import NdpPartitioner, PartitionConfig
 from repro.ir.loop import Loop, LoopNest
 from repro.ir.parser import parse_statement
 from repro.ir.program import Program
-from repro.sim.engine import SimConfig, Simulator
-
-SCHEMA_VERSION = 1
-PHASES = ("build", "partition", "simulate_default", "simulate_optimized")
-
-#: Real-workload subset benchmarked by ``--smoke`` (matches the committed
-#: BENCH_compile.json baseline that CI's regression check compares against).
-SMOKE_APPS = ("barnes", "cholesky", "minimd")
 
 
 def tiny_app() -> Program:
@@ -72,152 +33,3 @@ def tiny_app() -> Program:
         )
     )
     return p
-
-
-def _timed(fn: Callable):
-    started = time.perf_counter()
-    result = fn()
-    return result, time.perf_counter() - started
-
-
-def bench_app(
-    app: str,
-    scale: int = 1,
-    seed: int = 0,
-    machine_factory: Optional[Callable[[], Machine]] = None,
-    program_factory: Optional[Callable[[], Program]] = None,
-) -> Dict:
-    """Time each pipeline phase for one app; returns a schema `apps` entry."""
-    if machine_factory is None:
-        from repro.experiments.common import paper_machine
-
-        machine_factory = paper_machine
-    if program_factory is None:
-        from repro.workloads import build_workload
-
-        program_factory = lambda: build_workload(app, scale, seed)
-
-    phases: Dict[str, float] = {}
-
-    program, phases["build"] = _timed(program_factory)
-
-    compile_machine = machine_factory()
-    partition, phases["partition"] = _timed(
-        lambda: NdpPartitioner(compile_machine, PartitionConfig()).partition(program)
-    )
-
-    default_machine = machine_factory()
-    placement, _ = _timed(lambda: DefaultPlacement(default_machine).place(program))
-    _, phases["simulate_default"] = _timed(
-        lambda: Simulator(default_machine, SimConfig()).run(placement.units)
-    )
-
-    compile_machine.mcdram.reset()
-    _, phases["simulate_optimized"] = _timed(
-        lambda: Simulator(compile_machine, SimConfig()).run(partition.units())
-    )
-
-    return {
-        "app": app,
-        "phases": {name: round(phases[name], 6) for name in PHASES},
-        "total_seconds": round(sum(phases.values()), 6),
-    }
-
-
-def run_bench(
-    apps: List[str],
-    scale: int = 1,
-    seed: int = 0,
-    tiny: bool = False,
-) -> Dict:
-    """Benchmark every app and assemble the BENCH_compile.json payload."""
-    entries = []
-    for app in apps:
-        if tiny:
-            entry = bench_app(
-                app,
-                scale,
-                seed,
-                machine_factory=small_machine,
-                program_factory=tiny_app,
-            )
-        else:
-            entry = bench_app(app, scale, seed)
-        entries.append(entry)
-    return {
-        "version": SCHEMA_VERSION,
-        "scale": scale,
-        "seed": seed,
-        "apps": entries,
-        "total_seconds": round(sum(e["total_seconds"] for e in entries), 6),
-    }
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--apps", default="", help="comma-separated app subset")
-    parser.add_argument(
-        "--tiny",
-        action="store_true",
-        help="benchmark the built-in tiny synthetic app on the small machine",
-    )
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help=f"benchmark the CI regression subset: {', '.join(SMOKE_APPS)}",
-    )
-    parser.add_argument("--scale", type=int, default=1)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--out", default="BENCH_compile.json")
-    parser.add_argument(
-        "--trace",
-        default="",
-        metavar="FILE",
-        help="write structured JSONL trace events to FILE (adds a little "
-        "I/O to the timed phases; leave off for clean numbers)",
-    )
-    args = parser.parse_args(argv)
-
-    if sum(bool(flag) for flag in (args.tiny, args.smoke, args.apps)) > 1:
-        parser.error("--tiny, --smoke, and --apps are mutually exclusive")
-    if args.tiny:
-        apps = ["tiny"]
-    elif args.smoke:
-        apps = list(SMOKE_APPS)
-    elif args.apps:
-        apps = [a.strip() for a in args.apps.split(",") if a.strip()]
-        from repro.workloads import ALL_WORKLOAD_NAMES
-
-        unknown = [a for a in apps if a not in ALL_WORKLOAD_NAMES]
-        if unknown:
-            parser.error(
-                f"unknown app name(s): {', '.join(unknown)}; "
-                f"known apps: {', '.join(ALL_WORKLOAD_NAMES)}"
-            )
-    else:
-        from repro.experiments.common import DEFAULT_APPS
-
-        apps = list(DEFAULT_APPS)
-
-    if args.trace:
-        from repro.obs.tracer import tracing
-
-        with tracing(args.trace):
-            payload = run_bench(apps, args.scale, args.seed, tiny=args.tiny)
-    else:
-        payload = run_bench(apps, args.scale, args.seed, tiny=args.tiny)
-    with open(args.out, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-    for entry in payload["apps"]:
-        parts = "  ".join(
-            f"{name}={entry['phases'][name]:.3f}s" for name in PHASES
-        )
-        print(f"{entry['app']:>12}  {parts}  total={entry['total_seconds']:.3f}s")
-    print(f"wrote {args.out} ({payload['total_seconds']:.3f}s total)")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

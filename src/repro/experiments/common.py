@@ -121,7 +121,7 @@ def paper_machine(
     ``mesh_cols``/``mesh_rows`` scales the same template to any
     rectangular mesh (bank count snapping to the largest power of two
     that fits — see :func:`repro.arch.knl.mesh_machine`), which is what
-    the mesh-sweep experiment runs.
+    the benchmark's 16x16 ``mesh16-degraded`` workload runs.
     """
     if (mesh_cols, mesh_rows) != PAPER_MESH:
         from repro.arch.knl import mesh_machine

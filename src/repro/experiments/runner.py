@@ -19,6 +19,7 @@ import sys
 import time
 from typing import List
 
+from repro.errors import ReproError
 from repro.experiments import common
 
 # Importing the modules registers each @experiment-decorated run() with
@@ -95,15 +96,19 @@ def main(argv: List[str] = None) -> int:
         # Worker processes (--jobs) bootstrap their mode from the
         # environment, so checking composes with the parallel prewarm.
         os.environ["REPRO_CHECK"] = "1"
-    if args.jobs > 1:
-        common.prewarm(apps, scale=args.scale, seed=args.seed, jobs=args.jobs)
-    if args.trace:
-        from repro.obs.tracer import tracing
+    try:
+        if args.jobs > 1:
+            common.prewarm(apps, scale=args.scale, seed=args.seed, jobs=args.jobs)
+        if args.trace:
+            from repro.obs.tracer import tracing
 
-        with tracing(args.trace):
+            with tracing(args.trace):
+                run_all(apps, args.scale, args.seed)
+        else:
             run_all(apps, args.scale, args.seed)
-    else:
-        run_all(apps, args.scale, args.seed)
+    except ReproError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
@@ -194,28 +195,26 @@ class FaultPlan:
         try:
             links = tuple(
                 sorted(
-                    LinkFault(int(e["src"]), int(e["dst"]), int(e.get("at_unit", 0)))
+                    LinkFault(_integer(e, "src"), _integer(e, "dst"), _at_unit(e))
                     for e in data.get("links", ())
                 )
             )
             nodes = tuple(
                 sorted(
-                    NodeFault(int(e["node"]), int(e.get("at_unit", 0)))
+                    NodeFault(_integer(e, "node"), _at_unit(e))
                     for e in data.get("nodes", ())
                 )
             )
             channels = tuple(
                 sorted(
-                    ChannelDegrade(
-                        int(e["channel"]), float(e.get("latency_factor", 2.0))
-                    )
+                    ChannelDegrade(_integer(e, "channel"), _latency_factor(e))
                     for e in data.get("channels", ())
                 )
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError) as exc:
             raise FaultError(f"malformed fault plan entry: {exc}") from exc
         return cls(
-            seed=int(data.get("seed", 0)),
+            seed=_integer(data, "seed", 0),
             links=links,
             nodes=nodes,
             channels=channels,
@@ -244,6 +243,46 @@ class FaultPlan:
             json.dumps(self.to_json(), sort_keys=True).encode()
         ).hexdigest()
         return digest[:16]
+
+
+def _integer(entry: Dict, key: str, default: Optional[int] = None) -> int:
+    """``entry[key]`` as an int, or ``default`` when given and absent.
+
+    A bool, float or string raises :class:`FaultError`: ``int()`` would
+    read ``true`` and ``1.5`` as node 1.
+    """
+    value = entry[key] if default is None else entry.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise FaultError(f"fault plan field {key!r} must be an integer, got {value!r}")
+    return value
+
+
+def _at_unit(entry: Dict) -> int:
+    """The entry's activation epoch: an int ``>= 0`` (default 0)."""
+    at_unit = _integer(entry, "at_unit", 0)
+    if at_unit < 0:
+        raise FaultError(f"fault plan field 'at_unit' must be >= 0, got {at_unit}")
+    return at_unit
+
+
+def _latency_factor(entry: Dict) -> float:
+    """The entry's latency factor: a finite int or float (default 2.0).
+
+    A string, bool, NaN or infinity raises :class:`FaultError`; NaN would
+    pass the machine's ``>= 1.0`` check and put bare ``NaN`` tokens into
+    ``report.json``.
+    """
+    value = entry.get("latency_factor", 2.0)
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not math.isfinite(value)
+    ):
+        raise FaultError(
+            "fault plan field 'latency_factor' must be a finite number, "
+            f"got {value!r}"
+        )
+    return float(value)
 
 
 #: Draws :func:`random_plan` makes before it gives up on a connected plan.

@@ -18,8 +18,8 @@ Typical entry points::
     report = build_report("ocean")
 
 The special app name ``"tiny"`` runs the sub-second built-in synthetic
-app on the 4x4 test machine (the same one ``make bench-smoke`` uses), so
-schema checks and smoke tests do not pay for a full workload.
+app (:func:`repro.benchmarks.perf.tiny_app`) on the 4x4 test machine,
+so schema checks and smoke tests do not pay for a full workload.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ def _factories(
 
     Real workloads run on the scaled evaluation machine
     (:func:`repro.experiments.common.paper_machine`); ``"tiny"`` runs the
-    perf harness's built-in two-statement app on the small test machine.
+    built-in two-statement app on the small test machine.
     """
     if app == TINY_APP:
         from repro.arch.knl import small_machine

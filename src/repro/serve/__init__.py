@@ -17,7 +17,7 @@ shards cache misses across a persistent pool of forked compile workers.
 * :mod:`repro.serve.client` — the stdlib keep-alive client
   (``repro.cli client``);
 * :mod:`repro.serve.loadgen` — the load-test harness behind
-  ``make serve-smoke`` and ``BENCH_serve.json``.
+  ``make serve-smoke``.
 
 Architecture and measured numbers: DESIGN.md §13.
 """

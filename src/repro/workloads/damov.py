@@ -14,16 +14,17 @@ per operand it moves, and how analyzable its subscripts are:
 
 Every generated program is a pure function of ``(name, scale, seed)`` via
 :func:`repro.utils.rng.derive_rng` — byte-identical statements and index
-data on every call — which is what lets the mesh sweep's crossover report
-be regression-gated.  The generator deliberately does NOT register with
-``repro.workloads.suite`` (the paper's 12-app registry drives the fig*/
-table* experiments; perturbing it would change their reports).
+data on every call — which is what lets the benchmark's
+``mesh16-degraded`` workload pin its movement and cycles.  The generator
+deliberately does NOT register with ``repro.workloads.suite`` (the
+paper's 12-app registry drives the fig*/table* experiments; perturbing
+it would change their reports).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from repro.errors import WorkloadError
 from repro.ir.loop import Loop
@@ -174,13 +175,3 @@ def damov_suite(
         variant = index // len(DAMOV_CLASSES)
         suite.append(damov_workload(damov_class, variant, scale, seed))
     return suite
-
-
-def suite_by_class(
-    count: int = 6, scale: int = 1, seed: int = 0
-) -> Dict[str, List[DamovWorkload]]:
-    """The same suite grouped by declared class."""
-    grouped: Dict[str, List[DamovWorkload]] = {c: [] for c in DAMOV_CLASSES}
-    for workload in damov_suite(count, scale, seed):
-        grouped[workload.damov_class].append(workload)
-    return grouped

@@ -158,6 +158,7 @@ class TestHierarchicalPlacementFaults:
             assume(False)  # disconnecting plans are validation's problem
         placement = DefaultPlacement(machine)
         alive = machine.alive_nodes()
+        # At most 4 dead tiles leave at least 77 of 81 alive: hierarchical.
         assert placement.uses_hierarchical(len(alive))
         # Residency profiles may even name dead banks (defensive): the
         # ranking must still cover exactly the alive set.
@@ -169,20 +170,22 @@ class TestHierarchicalPlacementFaults:
                 max_size=6,
             )
         )
-        preferences = placement.rank_preferences(
-            counts, alive, search="hierarchical"
-        )
+        preferences = placement.rank_preferences(counts, alive)
         dead_set = set(dead)
         for ranked in preferences:
             assert sorted(ranked) == sorted(alive)
             assert not set(ranked) & dead_set
 
     def test_auto_switches_at_threshold(self):
-        small = DefaultPlacement(mesh_machine(6, 6))
-        big = DefaultPlacement(mesh_machine(9, 9))
-        assert not small.uses_hierarchical()
-        assert big.uses_hierarchical()
-        assert 6 * 6 <= HIERARCHICAL_NODE_THRESHOLD < 9 * 9
+        # 8x8 has exactly HIERARCHICAL_NODE_THRESHOLD alive nodes: flat.
+        for cols, rows, hierarchical in (
+            (6, 6, False), (8, 8, False), (12, 12, True), (16, 16, True),
+        ):
+            placement = DefaultPlacement(mesh_machine(cols, rows))
+            alive = placement.machine.alive_nodes()
+            assert len(alive) == cols * rows, (cols, rows)
+            assert placement.uses_hierarchical() is hierarchical, (cols, rows)
+        assert HIERARCHICAL_NODE_THRESHOLD == 8 * 8
 
     def test_flat_and_hierarchical_agree_on_top_choice_hot_region(self):
         # A chunk whose residency is concentrated on one node must rank
@@ -191,8 +194,8 @@ class TestHierarchicalPlacementFaults:
         placement = DefaultPlacement(machine)
         alive = machine.alive_nodes()
         counts = [{40: 100, 3: 1}, {7: 9, 80: 2}]
-        flat = placement.rank_preferences(counts, alive, search="flat")
-        hier = placement.rank_preferences(counts, alive, search="hierarchical")
+        flat = placement._rank_flat(counts, alive)
+        hier = placement._rank_hierarchical(counts)
         assert [r[0] for r in flat] == [r[0] for r in hier] == [40, 7]
 
 

@@ -133,6 +133,16 @@ def test_random_plan_rejects_a_negative_count(count):
         '{"unknown_field": 1}',
         '{"links": [{"src": 0}]}',
         '{"nodes": [{"node": "x"}]}',
+        '{"nodes": [{"node": true}]}',
+        '{"nodes": [{"node": 1.5}]}',
+        '{"nodes": [{"node": 1, "at_unit": 2.7}]}',
+        '{"nodes": [{"node": 1, "at_unit": -1}]}',
+        '{"links": [{"src": 0, "dst": false}]}',
+        '{"channels": [{"channel": 0, "latency_factor": "NaN"}]}',
+        '{"channels": [{"channel": 0, "latency_factor": NaN}]}',
+        '{"channels": [{"channel": 0, "latency_factor": 1e309}]}',
+        '{"channels": [{"channel": "0"}]}',
+        '{"seed": "x"}',
     ],
 )
 def test_malformed_plans_raise_fault_error(text):
@@ -449,6 +459,12 @@ def test_cli_report_rejects_bad_fault_plan(tmp_path, capsys):
 def test_runner_rejects_unknown_app(capsys):
     from repro.experiments.runner import main as runner_main
 
-    status = runner_main(["--apps", "nosuchapp"])
-    assert status == 2
-    assert "unknown app name" in capsys.readouterr().err
+    for argv, message in (
+        (["--apps", "nosuchapp"], "unknown app name"),
+        (["--apps", "cholesky", "--scale", "0"], "scale"),
+    ):
+        status = runner_main(argv)
+        assert status == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1

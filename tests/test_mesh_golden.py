@@ -7,10 +7,10 @@ revision — any byte drift in the scrubbed report is a regression, not a
 tolerance question.
 
 Also pinned here: the DAMOV generator is a pure function of its
-arguments (the mesh-sweep crossover report is only regression-gateable
-if its inputs never wobble), and the link heatmap remains a lossless
-decomposition of ``DataMovement`` on non-square and beyond-threshold
-meshes.
+arguments (the benchmark's ``mesh16-degraded`` digests are only
+meaningful if its inputs never wobble), and the link heatmap remains a
+lossless decomposition of ``DataMovement`` on non-square and
+beyond-threshold meshes.
 """
 
 import hashlib

@@ -107,6 +107,7 @@ class TestHttpSurface:
         [
             ({**TINY, "backend": "runtime"}, "unknown request field"),
             ({**TINY, "skip_passes": ["execute"]}, "unknown pass name"),
+            ({**TINY, "faults": {"seed": "x"}}, "'seed' must be an integer"),
         ],
     )
     def test_retired_execution_fields_are_400(
