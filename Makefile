@@ -61,15 +61,14 @@ examples-smoke:
 # CI's serve-smoke gate: spawn a daemon, drive 1000 requests (200 unique
 # cold + 800 warm repeats) through 50 concurrent clients, then assert a
 # >= 90% warm cache hit rate, byte-identity between a cached artifact and
-# a fresh in-process compile, and a clean SIGTERM drain.  All outputs
-# (BENCH_serve_fresh.json, serve_trace.jsonl, the scratch cache) land
-# under $(SERVE_OUT_DIR) — never the repo root.  Serve latency and
-# throughput are measured by bench/ (the serve-mixed workload), not here.
+# a fresh in-process compile, and a clean SIGTERM drain.  Its outputs
+# (serve_trace.jsonl, the scratch cache) land under $(SERVE_OUT_DIR) —
+# never the repo root.  Serve latency and throughput are measured by
+# bench/ (the serve-mixed workload), not here.
 serve-smoke:
 	$(PYTHON) -m repro.serve.loadgen --spawn \
 		--requests 1000 --unique 200 --clients 50 --workers 2 \
-		--out-dir $(SERVE_OUT_DIR) \
-		--trace serve_trace.jsonl --out BENCH_serve_fresh.json \
+		--out-dir $(SERVE_OUT_DIR) --trace serve_trace.jsonl \
 		--assert-warm-hit-rate 0.9 --verify-identity
 
 # Fault-injection demo: seeded random plan -> degraded run -> detour heatmap.

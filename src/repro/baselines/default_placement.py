@@ -371,11 +371,26 @@ class DefaultPlacement:
     def assignment(self, program: Program) -> Dict[int, int]:
         """Instance seq -> node under the default placement.
 
-        Used both to render the baseline schedule and as the fallback
-        execution node for statements the partitioner decides not to split.
+        The partitioner's fallback node for statements it does not split.
+        Declares the arrays and ranks and assigns each nest's chunks; it
+        records no profile and builds no units, so a compile that skips
+        its ``profile`` pass leaves MCDRAM unplaced.
         """
-        result = self.place(program)
-        return dict(result.node_of_seq)
+        program.declare_on(self.machine)
+        node_of_seq: Dict[int, int] = {}
+        seq_base = 0
+        for nest in program.nests:
+            assignment = self._assign_chunks(self._chunk_preferences(program, nest))
+            chunk_count = len(assignment)
+            trip = max(nest.trip_count, 1)
+            for position in range(nest.instance_count):
+                chunk = min(
+                    position // nest.body_size * chunk_count // trip,
+                    chunk_count - 1,
+                )
+                node_of_seq[seq_base + position] = assignment[chunk]
+            seq_base += nest.instance_count
+        return node_of_seq
 
     def place(self, program: Program) -> PlacementResult:
         """Place every nest of ``program``; returns simulator-ready units."""
@@ -386,25 +401,7 @@ class DefaultPlacement:
         from repro.core.partitioner import profile_access_counts
 
         self.machine.record_profile(profile_access_counts(program))
-        chunk_of_nest: Dict[str, Tuple[List[int], int]] = {}
-        for nest in program.nests:
-            preferences = self._chunk_preferences(program, nest)
-            assignment = self._assign_chunks(preferences)
-            chunk_of_nest[nest.name] = (assignment, len(assignment))
-
-        instance_counter: Dict[str, int] = {}
-        nest_by_name = {n.name: n for n in program.nests}
-
-        def assign(instance: StatementInstance) -> int:
-            assignment, chunk_count = chunk_of_nest[instance.nest_name]
-            position = instance_counter.get(instance.nest_name, 0)
-            instance_counter[instance.nest_name] = position + 1
-            nest = nest_by_name[instance.nest_name]
-            iteration_index = position // nest.body_size
-            chunk = min(
-                iteration_index * chunk_count // max(nest.trip_count, 1),
-                chunk_count - 1,
-            )
-            return assignment[chunk]
-
-        return placement_from_assignment(self.machine, program, assign)
+        node_of_seq = self.assignment(program)
+        return placement_from_assignment(
+            self.machine, program, lambda instance: node_of_seq[instance.seq]
+        )

@@ -288,20 +288,6 @@ def _cmd_faults(args) -> int:
     return 0
 
 
-def _cmd_serve(args) -> int:
-    """Run the compile service daemon (flags parsed by repro.serve.daemon)."""
-    from repro.serve.daemon import main as serve_main
-
-    return serve_main(args.serve_args)
-
-
-def _cmd_client(args) -> int:
-    """Talk to a running daemon (flags parsed by repro.serve.client)."""
-    from repro.serve.client import main as client_main
-
-    return client_main(args.client_args)
-
-
 def _cmd_experiments(args) -> int:
     from repro.experiments.runner import main as runner_main
 
@@ -474,29 +460,18 @@ def main(argv: List[str] = None) -> int:
     codegen.add_argument("--seed", type=int, default=0)
     codegen.set_defaults(func=_cmd_codegen)
 
-    serve = sub.add_parser(
+    # ``serve`` and ``client`` are dispatched above, before this parser
+    # runs; their subparsers only list them in ``repro --help``.
+    sub.add_parser(
         "serve",
-        help="run the compile-as-a-service daemon (repro.serve)",
+        help="run the compile-as-a-service daemon (repro.serve; "
+        "`repro serve --help` lists its flags)",
     )
-    serve.add_argument(
-        "serve_args",
-        nargs=argparse.REMAINDER,
-        help="daemon flags (see `repro serve -- --help`): --port, "
-        "--workers, --queue-depth, --cache-dir, --trace, ...",
-    )
-    serve.set_defaults(func=_cmd_serve)
-
-    client = sub.add_parser(
+    sub.add_parser(
         "client",
-        help="send requests to a running serve daemon",
+        help="send requests to a running serve daemon "
+        "(`repro client --help` lists its commands)",
     )
-    client.add_argument(
-        "client_args",
-        nargs=argparse.REMAINDER,
-        help="client arguments (see `repro client -- --help`): "
-        "URL compile|stats|health|shutdown [flags]",
-    )
-    client.set_defaults(func=_cmd_client)
 
     experiments = sub.add_parser("experiments", help="run the table/figure suite")
     experiments.add_argument("--quick", action="store_true")

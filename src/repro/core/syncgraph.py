@@ -14,10 +14,10 @@ per-node bitmasks in one reverse sweep.
 
 from __future__ import annotations
 
-import time
 from typing import Dict, List, Set, Tuple
 
 from repro.errors import SchedulingError
+from repro.obs.tracer import get_tracer
 
 
 class SyncGraph:
@@ -87,23 +87,19 @@ class SyncGraph:
         """Minimize under a session's pipeline shape; returns the arc count.
 
         This is the inline ``sync_minimize`` pass: a session that skips it
-        (``--skip-pass sync_minimize``) leaves every arc in place, a
-        present session is charged the wall time, and check mode audits
-        the result against the reference transitive reduction.  ``None``
-        (bare API use, no pipeline) minimizes unconditionally, untimed.
+        (``--skip-pass sync_minimize``) leaves every arc in place, and
+        check mode audits the result against the reference transitive
+        reduction.  ``None`` (bare API use, no pipeline) minimizes
+        unconditionally.  The minimize runs in a ``pass.sync_minimize``
+        span: its time counts toward that pass, and only a debug trace
+        writes the (per-window) span out.
         """
         from repro import check
 
         if session is not None and not session.pass_enabled("sync_minimize"):
             return self.arc_count()
         arcs_before = self.arcs() if check.enabled() else None
-        if session is not None:
-            started = time.perf_counter()
-            self.minimize()
-            session.add_pass_seconds(
-                "sync_minimize", time.perf_counter() - started
-            )
-        else:
+        with get_tracer().debug_span("pass.sync_minimize"):
             self.minimize()
         if arcs_before is not None:
             # Check mode: the bitmask sweep must produce exactly the

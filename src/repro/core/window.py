@@ -186,8 +186,7 @@ class WindowScheduler:
         # The session carries the pipeline shape: a skipped ``balance``
         # pass disables the 10% veto (placement takes the minimum-movement
         # candidate unconditionally), a skipped ``sync_minimize`` leaves
-        # window sync graphs unminimized; the per-window minimize time is
-        # charged to the ``sync_minimize`` pass when a session is present.
+        # window sync graphs unminimized.
         self._session = session
         balance_enabled = session is None or session.pass_enabled("balance")
         self.balancer = balancer or LoadBalancer(
@@ -465,7 +464,7 @@ class WindowSizeSearch:
         self._templates = templates
         self.fallback_nodes = fallback_nodes
         self.split_plan = split_plan
-        # Forwarded to every trial scheduler (inline-pass gating + timing).
+        # Forwarded to every trial scheduler (inline-pass gating).
         self._session = session
 
     def search(self, program: Program, nest: LoopNest) -> SearchOutcome:

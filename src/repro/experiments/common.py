@@ -237,7 +237,6 @@ def ideal_analysis_metrics(app: str, scale: int = 1, seed: int = 0) -> SimMetric
     machine = paper_machine()
     program = build_workload(app, scale, seed)
     partition = partition_with_ideal_analysis(machine, program)
-    machine.mcdram.reset()
     metrics = Simulator(machine, SimConfig()).run(partition.units())
     _IDEAL_CACHE[key] = metrics
     return metrics
@@ -325,7 +324,6 @@ def run_optimized(
     program = build_workload(app, scale, seed)
     partitioner = NdpPartitioner.from_session(session)
     partition = partitioner.partition(program)
-    machine.mcdram.reset()
     metrics = Simulator(machine, sim_config).run(partition.units())
     return partition, metrics, machine
 
@@ -424,9 +422,8 @@ def prewarm(
 
     Every experiment then reads memoized results, so a subsequent serial
     ``run_all`` pass emits byte-identical reports while the heavy per-app
-    compile+simulate work fans out over :func:`repro.pipeline.run_pool`
-    (the same ``--jobs`` worker-pool idiom as ``compile_many``).  Two
-    phases: (1) all (app, cluster, memory) comparisons plus the
+    compile+simulate work fans out over :func:`repro.pipeline.run_pool`.
+    Two phases: (1) all (app, cluster, memory) comparisons plus the
     ideal-analysis runs; (2) the fixed-window sweeps, which need phase 1's
     split plans.
     """

@@ -75,7 +75,6 @@ def run(apps: List[str] = DEFAULT_APPS, scale: int = 1, seed: int = 0) -> Fig23R
         program = build_workload(app, scale, seed)
         placement = DefaultPlacement(machine).place(program)
         mapping = profile_page_mc_mapping(machine, placement.units)
-        machine.mcdram.reset()
         metrics = Simulator(machine, SimConfig(mc_override=mapping)).run(
             placement.units
         )
@@ -86,7 +85,6 @@ def run(apps: List[str] = DEFAULT_APPS, scale: int = 1, seed: int = 0) -> Fig23R
         build_workload(app, scale, seed).declare_on(machine2)
         units = comparison.partition.units()
         mapping2 = profile_page_mc_mapping(machine2, units)
-        machine2.mcdram.reset()
         metrics2 = Simulator(machine2, SimConfig(mc_override=mapping2)).run(units)
         combined = (base - metrics2.total_cycles) / base if base else 0.0
 

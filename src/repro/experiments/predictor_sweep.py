@@ -7,18 +7,19 @@ locality model (DESIGN.md section 12) — and report
 
 * per-address **agreement** between the two over the default-execution
   access stream (the differential-oracle metric of ``repro.check``);
-* **build cost**: trace-training time vs closed-form model time;
 * the **end-to-end effect**: data-movement reduction when the full
   pipeline is compiled with each predictor (``--predictor`` in the CLI).
 
 The trace predictor stays the pipeline default; the sweep quantifies how
 much of its verdicts the analytic model reproduces without simulating a
 single cache access, and what the residual divergence costs downstream.
+The two builds run in ``predictor_sweep.trace_build`` and
+``predictor_sweep.analytic_build`` trace spans, so a traced run
+(``--trace``) shows their cost; the table carries no wall times.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Dict, List
 
@@ -33,6 +34,7 @@ from repro.experiments.common import (
     format_table,
     paper_machine,
 )
+from repro.obs.tracer import get_tracer
 from repro.workloads import build_workload
 
 #: Instance budget for both trace training and the agreement probe —
@@ -45,8 +47,6 @@ class PredictorSweepRow:
     """One application's trace-vs-analytic comparison."""
 
     agreement: float
-    trace_seconds: float
-    analytic_seconds: float
     trace_movement_reduction: float
     analytic_movement_reduction: float
 
@@ -61,8 +61,6 @@ class PredictorSweepResult:
             table.append([
                 app,
                 f"{row.agreement * 100:.1f}%",
-                f"{row.trace_seconds:.2f}s",
-                f"{row.analytic_seconds:.2f}s",
                 f"{row.trace_movement_reduction * 100:.1f}%",
                 f"{row.analytic_movement_reduction * 100:.1f}%",
             ])
@@ -72,8 +70,6 @@ class PredictorSweepResult:
                 [
                     "app",
                     "agreement",
-                    "trace build",
-                    "analytic build",
                     "moves saved (trace)",
                     "moves saved (analytic)",
                 ],
@@ -114,21 +110,20 @@ def run(
     seed: int = 0,
 ) -> PredictorSweepResult:
     rows: Dict[str, PredictorSweepRow] = {}
+    tracer = get_tracer()
     for app in apps:
         trace_machine = paper_machine()
         trace_program = build_workload(app, scale, seed)
         trace = HitMissPredictor()
-        started = time.perf_counter()
-        train_predictor(
-            trace_machine, trace_program, trace, TRAINING_INSTANCES
-        )
-        trace_seconds = time.perf_counter() - started
+        with tracer.span("predictor_sweep.trace_build", app=app):
+            train_predictor(
+                trace_machine, trace_program, trace, TRAINING_INSTANCES
+            )
 
         analytic_machine = paper_machine()
         analytic_program = build_workload(app, scale, seed)
-        started = time.perf_counter()
-        analytic = AnalyticMissPredictor(analytic_machine, analytic_program)
-        analytic_seconds = time.perf_counter() - started
+        with tracer.span("predictor_sweep.analytic_build", app=app):
+            analytic = AnalyticMissPredictor(analytic_machine, analytic_program)
 
         agreement = _agreement(
             (analytic_machine, analytic_program, analytic),
@@ -141,8 +136,6 @@ def run(
         )
         rows[app] = PredictorSweepRow(
             agreement=agreement,
-            trace_seconds=trace_seconds,
-            analytic_seconds=analytic_seconds,
             trace_movement_reduction=with_trace.movement_reduction(),
             analytic_movement_reduction=with_analytic.movement_reduction(),
         )

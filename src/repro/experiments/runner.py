@@ -4,23 +4,24 @@
 [--jobs N] [--trace FILE]`` prints each table/figure's report in paper
 order; ``--quick`` restricts to a 4-app subset for smoke runs.
 ``--trace FILE`` streams structured JSONL trace events for every compile
-and simulation in the suite to ``FILE`` (see :mod:`repro.obs.tracer`);
-it never changes the rendered reports.  ``--jobs N`` fans the heavy
-per-app compile+simulate work (all cluster/memory-mode comparisons, the
-ideal-analysis runs, and the fixed-window sweeps) out over N worker
-processes before the reports are rendered serially, so the output is
-identical to a serial run.
+and simulation in the suite to ``FILE`` (see :mod:`repro.obs.tracer`),
+each experiment inside an ``experiment`` span; it never changes the
+rendered reports.  The output holds no wall times, so it is byte-stable
+for a given seed.  ``--jobs N`` fans the heavy per-app compile+simulate
+work (all cluster/memory-mode comparisons, the ideal-analysis runs, and
+the fixed-window sweeps) out over N worker processes before the reports
+are rendered serially, so the output is identical to a serial run.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-import time
 from typing import List
 
 from repro.errors import ReproError
 from repro.experiments import common
+from repro.obs.tracer import get_tracer
 
 # Importing the modules registers each @experiment-decorated run() with
 # ``common``; the suite order comes from the registry, not this list.
@@ -47,11 +48,11 @@ QUICK_APPS = ["barnes", "cholesky", "ocean", "minimd"]
 
 
 def run_all(apps: List[str], scale: int = 1, seed: int = 0, out=sys.stdout) -> None:
+    tracer = get_tracer()
     for name, experiment in common.all_experiments():
-        started = time.time()
-        result = experiment(apps=apps, scale=scale, seed=seed)
-        elapsed = time.time() - started
-        print(f"\n=== {name} ({elapsed:.1f}s) ===", file=out)
+        with tracer.span("experiment", experiment=name):
+            result = experiment(apps=apps, scale=scale, seed=seed)
+        print(f"\n=== {name} ===", file=out)
         print(result.report(), file=out)
 
 

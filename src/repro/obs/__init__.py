@@ -3,9 +3,10 @@
 Three zero-dependency pieces (DESIGN.md Section 8):
 
 - :mod:`repro.obs.tracer` — JSONL span/point tracing of the compile
-  pipeline and the simulator.  Off by default; the module-global no-op
-  tracer keeps the cost of disabled tracing to one attribute check at
-  each instrumentation site.
+  pipeline and the simulator, and the one clock of ``src/``: a tracer
+  sums its span durations by name, even without a sink.  Off by
+  default; the module-global no-op tracer keeps the cost of disabled
+  tracing to one attribute check at each instrumentation site.
 - :mod:`repro.obs.schema` — the versioned ``report.json`` schema and a
   dependency-free validator (also runnable: ``python -m repro.obs.schema``).
 - :mod:`repro.obs.report` — :func:`build_report` runs one app end to end

@@ -4,10 +4,11 @@
 app on the evaluation machine and assembles a single JSON document — the
 chosen plan per nest, window sizes, movement/time/L1/energy deltas versus
 the default placement, the optimized run's per-link NoC heatmap, and
-per-phase wall times — validated against :mod:`repro.obs.schema` before
-being returned.  This is the introspection companion to the figure suite:
-every headline number in EXPERIMENTS.md can be decomposed by reading the
-report of the app that produced it.
+per-phase and per-pass wall times read from tracer spans — validated
+against :mod:`repro.obs.schema` before being returned.  This is the
+introspection companion to the figure suite: every headline number in
+EXPERIMENTS.md can be decomposed by reading the report of the app that
+produced it.
 
 Typical entry points::
 
@@ -25,7 +26,6 @@ so schema checks and smoke tests do not pay for a full workload.
 from __future__ import annotations
 
 import json
-import time
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.arch.machine import Machine
@@ -35,7 +35,7 @@ from repro.faults import FaultPlan
 from repro.ir.program import Program
 from repro.noc.network import LinkStats
 from repro.obs.schema import REPORT_KIND, REPORT_SCHEMA_VERSION, assert_valid
-from repro.obs.tracer import tracing
+from repro.obs.tracer import Tracer, tracing
 from repro.sim.engine import SimConfig, Simulator
 from repro.sim.metrics import SimMetrics
 
@@ -116,10 +116,9 @@ def _deltas(default: SimMetrics, optimized: SimMetrics) -> Dict:
     }
 
 
-def _timed(fn: Callable):
-    started = time.perf_counter()
-    result = fn()
-    return result, time.perf_counter() - started
+def _micros(seconds: Dict[str, float]) -> Dict[str, float]:
+    """Span totals rounded to the microsecond, as the report stores them."""
+    return {name: round(value, 6) for name, value in seconds.items()}
 
 
 def build_report(
@@ -140,6 +139,10 @@ def build_report(
         scale / seed: workload generation parameters (as everywhere else).
         trace_file: when given, the whole run is traced to this JSONL file
             and the path is recorded in the report's ``trace_file`` field.
+            Either way the run executes under a tracer (a sink-less one
+            without a file), and the report's wall times are its span
+            totals: ``phase.<name>`` spans give ``phase_seconds``, and the
+            pass manager's ``pass.<name>`` spans ``pipeline.pass_seconds``.
         debug_trace: also emit per-instance firehose events (large files).
         partition_config: override the default :class:`PartitionConfig`.
         faults: a :class:`~repro.faults.FaultPlan` to apply to every
@@ -159,22 +162,18 @@ def build_report(
     """
     if faults is not None and faults.is_empty:
         faults = None
-    if trace_file is not None:
-        with tracing(trace_file, debug=debug_trace):
-            return _build(
-                app, scale, seed, trace_file, partition_config, faults,
-                skip_passes, pass_order,
-            )
-    return _build(
-        app, scale, seed, None, partition_config, faults, skip_passes,
-        pass_order,
-    )
+    with tracing(trace_file, debug=debug_trace) as tracer:
+        return _build(
+            app, scale, seed, tracer, trace_file, partition_config, faults,
+            skip_passes, pass_order,
+        )
 
 
 def _build(
     app: str,
     scale: int,
     seed: int,
+    tracer: Tracer,
     trace_file: Optional[str],
     partition_config: Optional[PartitionConfig],
     faults: Optional[FaultPlan],
@@ -184,9 +183,9 @@ def _build(
     from repro.pipeline.session import session_for
 
     machine_factory, program_factory = _factories(app, scale, seed)
-    phases: Dict[str, float] = {}
 
-    program, phases["build"] = _timed(program_factory)
+    with tracer.span("phase.build"):
+        program = program_factory()
 
     def make_machine(apply_plan: bool = True) -> Machine:
         machine = machine_factory()
@@ -208,33 +207,35 @@ def _build(
     default_machine = make_machine()
     default_program = program_factory()
     placement = DefaultPlacement(default_machine).place(default_program)
-    default_metrics, phases["simulate_default"] = _timed(
-        lambda: Simulator(default_machine, SimConfig()).run(placement.units)
-    )
+    with tracer.span("phase.simulate_default"):
+        default_metrics = Simulator(default_machine, SimConfig()).run(
+            placement.units
+        )
 
     session = make_session(make_machine(apply_plan=False), faults)
     optimized_machine = session.machine
     partitioner = NdpPartitioner.from_session(session)
-    partition, phases["partition"] = _timed(lambda: partitioner.partition(program))
-    optimized_machine.mcdram.reset()
-    optimized_metrics, phases["simulate_optimized"] = _timed(
-        lambda: Simulator(optimized_machine, SimConfig()).run(partition.units())
-    )
+    with tracer.span("phase.partition"):
+        partition = partitioner.partition(program)
+    with tracer.span("phase.simulate_optimized"):
+        optimized_metrics = Simulator(optimized_machine, SimConfig()).run(
+            partition.units()
+        )
+    # Before the healthy rerun below, whose passes would add to the totals.
+    pass_seconds = _micros(tracer.seconds("pass."))
 
     faults_section = None
     if faults is not None:
         # Degraded-vs-healthy baseline: the same optimized pipeline on an
         # unfaulted machine, so the overhead numbers isolate the plan.
-        def healthy_run() -> SimMetrics:
+        with tracer.span("phase.simulate_healthy"):
             healthy_session = make_session(make_machine(apply_plan=False), None)
-            machine = healthy_session.machine
             healthy_partition = NdpPartitioner.from_session(
                 healthy_session
             ).partition(program)
-            machine.mcdram.reset()
-            return Simulator(machine, SimConfig()).run(healthy_partition.units())
-
-        healthy_metrics, phases["simulate_healthy"] = _timed(healthy_run)
+            healthy_metrics = Simulator(
+                healthy_session.machine, SimConfig()
+            ).run(healthy_partition.units())
         faults_section = _faults_info(faults, optimized_metrics, healthy_metrics)
 
     heatmap = LinkStats.from_link_flits(
@@ -254,13 +255,8 @@ def _build(
         "optimized": optimized_metrics.to_dict(),
         "deltas": _deltas(default_metrics, optimized_metrics),
         "link_heatmap": heatmap.to_json(),
-        "phase_seconds": {
-            name: round(seconds, 6) for name, seconds in phases.items()
-        },
-        "pipeline": {
-            **session.to_json(),
-            "pass_seconds": session.pass_seconds(),
-        },
+        "phase_seconds": _micros(tracer.seconds("phase.")),
+        "pipeline": {**session.to_json(), "pass_seconds": pass_seconds},
         "trace_file": trace_file,
         "faults": faults_section,
     }

@@ -19,12 +19,19 @@ event is one JSON object per line:
   are stripped (regression-tested by ``tests/test_obs_tracer.py``).
 * ``data``  — JSON-safe payload (ints, floats, strings, small dicts).
 
-Tracing is **off by default** and free when off: the module-level tracer
-is :data:`NULL_TRACER`, whose methods are no-ops and whose ``enabled``
-attribute is ``False`` so hot paths can skip payload construction with a
-single attribute check.  Enabling tracing never changes simulation or
-compilation results — the tracer only *reads* counters (the figure/table
-equivalence is regression-tested).
+Spans are also the one clock of ``src/``: a :class:`Tracer` sums the
+durations of its closed spans by name (:meth:`Tracer.seconds`), and
+``report.json``'s ``phase_seconds`` and ``pipeline.pass_seconds`` are
+read from those sums.  A tracer built without a sink writes no events
+and keeps ``enabled``/``debug`` ``False``, so no payload is built, but it
+still sums its spans; :func:`repro.obs.report.build_report` runs under
+one when no trace file is asked for.
+
+The module-level tracer is :data:`NULL_TRACER`, whose methods are no-ops
+and whose ``enabled`` attribute is ``False`` so hot paths can skip
+payload construction with a single attribute check.  Enabling tracing
+never changes simulation or compilation results — the tracer only
+*reads* counters (the figure/table equivalence is regression-tested).
 
 Usage::
 
@@ -35,7 +42,8 @@ Usage::
 
 or install a tracer explicitly with :func:`set_tracer` / restore with the
 value it returns.  Per-instance firehose events (every statement split,
-every load-balancer veto) are additionally gated behind ``debug=True``.
+every load-balancer veto, every window's sync minimization) are
+additionally gated behind ``debug=True``.
 """
 
 from __future__ import annotations
@@ -82,6 +90,8 @@ class NullTracer:
         """Return a no-op context manager."""
         return _NULL_SPAN
 
+    debug_span = span
+
     def point(self, name: str, **payload) -> None:
         """Drop the event."""
 
@@ -94,20 +104,25 @@ NULL_TRACER = NullTracer()
 
 
 class _Span:
-    """Context manager emitting a B event on entry and an E event on exit.
+    """Context manager timing a block; it may emit B and E events.
 
     ``add(**payload)`` merges extra fields into the end event's ``data``
-    (e.g. a measured accuracy known only once the phase finishes).
+    (e.g. a measured accuracy known only once the phase finishes).  The
+    duration always counts toward the tracer's totals; the events are
+    written only when ``emit`` is set.
     """
 
-    __slots__ = ("_tracer", "name", "_start", "_end_payload")
+    __slots__ = ("_tracer", "name", "_emit", "_start", "_end_payload")
 
-    def __init__(self, tracer: "Tracer", name: str, payload: Dict[str, Any]):
+    def __init__(
+        self, tracer: "Tracer", name: str, payload: Dict[str, Any], emit: bool
+    ):
         self._tracer = tracer
         self.name = name
-        self._start = 0.0
+        self._emit = emit
         self._end_payload: Dict[str, Any] = {}
-        tracer._emit("B", name, payload)
+        if emit:
+            tracer._emit("B", name, payload)
         self._start = tracer._now()
 
     def add(self, **payload) -> None:
@@ -121,41 +136,48 @@ class _Span:
         self.end()
 
     def end(self) -> None:
-        """Emit the span's E event now (for non-``with`` call sites)."""
+        """Close the span now (for non-``with`` call sites)."""
         tracer = self._tracer
-        tracer._emit(
-            "E", self.name, self._end_payload, dur=tracer._now() - self._start
-        )
+        dur = tracer._now() - self._start
+        with tracer._lock:
+            totals = tracer._totals
+            totals[self.name] = totals.get(self.name, 0.0) + dur
+        if self._emit:
+            tracer._emit("E", self.name, self._end_payload, dur=dur)
 
 
 class Tracer:
-    """Emits structured JSONL events to a text sink.
+    """Sums span durations by name and emits structured JSONL events.
 
     Args:
         sink: a writable text file-like object (the tracer does not own
-            it unless it was opened by :func:`tracing`).
+            it unless it was opened by :func:`tracing`).  ``None`` makes
+            a sink-less tracer: no events, ``enabled`` and ``debug``
+            ``False``, span durations still summed.
         debug: also emit per-instance firehose events (statement splits,
-            balancer vetoes).  Off by default — debug traces are large.
+            balancer vetoes, per-window sync minimization).  Off by
+            default — debug traces are large.
 
     Events are written eagerly, one line per event, with sorted keys so a
     byte comparison of two trace files is meaningful.
 
-    Emission is serialized by a lock, so one tracer may be shared by
-    concurrent threads (the ``repro.serve`` daemon traces every request
-    handler through the process tracer): events never interleave
-    mid-line and ``seq`` stays strictly monotonic.  The lock is
-    uncontended on the single-threaded compile paths.
+    Emission and the span totals are serialized by a lock, so one tracer
+    may be shared by concurrent threads (the ``repro.serve`` daemon
+    traces every request handler through the process tracer): events
+    never interleave mid-line and ``seq`` stays strictly monotonic.  The
+    lock is uncontended on the single-threaded compile paths.
     """
 
-    __slots__ = ("enabled", "debug", "_sink", "_seq", "_t0", "_lock")
+    __slots__ = ("enabled", "debug", "_sink", "_seq", "_t0", "_lock", "_totals")
 
-    def __init__(self, sink: IO[str], debug: bool = False):
-        self.enabled = True
-        self.debug = debug
+    def __init__(self, sink: Optional[IO[str]] = None, debug: bool = False):
+        self.enabled = sink is not None
+        self.debug = debug and self.enabled
         self._sink = sink
         self._seq = 0
         self._t0 = time.perf_counter()
         self._lock = threading.Lock()
+        self._totals: Dict[str, float] = {}
 
     def _now(self) -> float:
         return time.perf_counter() - self._t0
@@ -183,15 +205,35 @@ class Tracer:
 
     def span(self, name: str, **payload) -> _Span:
         """Open a span; use as a context manager."""
-        return _Span(self, name, payload)
+        return _Span(self, name, payload, self.enabled)
+
+    def debug_span(self, name: str, **payload) -> _Span:
+        """A span written only to a debug trace; it always counts in totals."""
+        return _Span(self, name, payload, self.debug)
 
     def point(self, name: str, **payload) -> None:
         """Emit a single instantaneous event."""
-        self._emit("P", name, payload)
+        if self.enabled:
+            self._emit("P", name, payload)
+
+    def seconds(self, prefix: str = "") -> Dict[str, float]:
+        """Summed wall seconds of the closed spans whose name has ``prefix``.
+
+        Keyed by the rest of the name, in the order the names first
+        closed: ``seconds("pass.")`` maps ``"schedule"`` to the time
+        spent in ``pass.schedule`` spans.
+        """
+        with self._lock:
+            return {
+                name[len(prefix):]: total
+                for name, total in self._totals.items()
+                if name.startswith(prefix)
+            }
 
     def close(self) -> None:
         """Flush the sink (the caller owns closing the file itself)."""
-        self._sink.flush()
+        if self._sink is not None:
+            self._sink.flush()
 
 
 #: The installed tracer; module state so deeply nested pipeline code can
@@ -216,13 +258,16 @@ class tracing:
     """Context manager: trace the enclosed block to ``path`` (JSONL).
 
     ``path`` may also be an open text sink (e.g. ``io.StringIO``), in which
-    case the caller keeps ownership and nothing is closed on exit::
+    case the caller keeps ownership and nothing is closed on exit, or
+    ``None`` for a sink-less tracer that only sums span durations::
 
         with tracing("/tmp/compile.jsonl", debug=False) as tracer:
             NdpPartitioner(machine).partition(program)
     """
 
-    def __init__(self, path: Union[str, IO[str]], debug: bool = False):
+    def __init__(
+        self, path: Union[str, IO[str], None] = None, debug: bool = False
+    ):
         self._path = path
         self._debug = debug
         self._fh: Optional[IO[str]] = None
@@ -232,7 +277,7 @@ class tracing:
     def __enter__(self) -> Tracer:
         if isinstance(self._path, str):
             self._fh = open(self._path, "w")
-            sink: IO[str] = self._fh
+            sink: Optional[IO[str]] = self._fh
         else:
             sink = self._path
         self._tracer = Tracer(sink, debug=self._debug)

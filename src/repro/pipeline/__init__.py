@@ -1,19 +1,19 @@
 """``repro.pipeline`` — the pass-pipeline compile flow.
 
 The package turns the paper's §4 sequence into explicit, registered,
-independently timeable passes over a single :class:`CompilationSession`
+independently traced passes over a single :class:`CompilationSession`
 context:
 
 * :mod:`repro.pipeline.session` — :class:`CompilationSession` (machine,
-  config, faults, check mode, pipeline shape, timings, caches) and
+  config, faults, check mode, pipeline shape, caches) and
   :func:`session_for`;
 * :mod:`repro.pipeline.passes` — the :data:`PASS_REGISTRY` of named
   passes and :data:`DEFAULT_PASS_ORDER`;
-* :mod:`repro.pipeline.manager` — the :class:`PassManager` driver;
-* :mod:`repro.pipeline.batch` — :func:`compile_many`, the shared
-  ``--jobs`` pool helper :func:`run_pool`, and the persistent
-  :class:`WorkerPool` the compile service (:mod:`repro.serve`) shards
-  requests across.
+* :mod:`repro.pipeline.manager` — the :class:`PassManager` driver, which
+  runs each pass in a tracer span;
+* :mod:`repro.pipeline.batch` — the ``--jobs`` pool helper
+  :func:`run_pool` and the persistent :class:`WorkerPool` the compile
+  service (:mod:`repro.serve`) shards requests across.
 
 :func:`compile_program` is the one-call front-end: session in, partition
 out, bit-identical to the pre-pipeline ``NdpPartitioner.partition`` under
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from repro.core.partitioner import PartitionResult
 from repro.ir.program import Program
-from repro.pipeline.batch import WorkerCrash, WorkerPool, compile_many, run_pool
+from repro.pipeline.batch import WorkerCrash, WorkerPool, run_pool
 from repro.pipeline.manager import PassManager
 from repro.pipeline.passes import (
     DEFAULT_PASS_ORDER,
@@ -46,7 +46,6 @@ __all__ = [
     "SessionCaches",
     "WorkerCrash",
     "WorkerPool",
-    "compile_many",
     "compile_program",
     "run_pool",
     "session_for",

@@ -1,22 +1,15 @@
-"""Batch compilation: ``compile_many`` and the shared worker pool helpers.
+"""The shared worker pool helpers.
 
-``run_pool`` is the one process-pool idiom the repo uses for every
-``--jobs`` fan-out (the experiment prewarm, the batch compile below):
-serial when ``jobs <= 1`` (bit-identical to the historical in-process
-loops), a ``ProcessPoolExecutor`` map otherwise, results always in task
-order.
+``run_pool`` is the one process-pool idiom the repo uses for a ``--jobs``
+fan-out (the experiment runner's prewarm): serial when ``jobs <= 1``
+(bit-identical to the historical in-process loops), a
+``ProcessPoolExecutor`` map otherwise, results always in task order.
 
 ``WorkerPool`` is the *persistent* sibling of ``run_pool`` for services
 that live longer than one batch (the ``repro.serve`` daemon): the same
 worker-function-over-payloads contract, but the forked workers stay
 alive between calls, and a worker killed mid-task is detected
 (``BrokenExecutor``) and the pool respawned so the caller can retry.
-
-``compile_many`` is the batch front-end of the pass pipeline: each
-program compiles against an independent :meth:`CompilationSession.fork`
-(fresh machine, fault plan re-applied, empty caches), so batch members
-cannot observe each other — the same program compiles to the same
-schedule whether it is batched first, last, or alone.
 """
 
 from __future__ import annotations
@@ -24,9 +17,6 @@ from __future__ import annotations
 import threading
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from typing import Callable, List, Sequence, TypeVar
-
-from repro.core.partitioner import PartitionResult
-from repro.ir.program import Program
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
@@ -123,29 +113,3 @@ def _worker_pid(_: int) -> int:
     import os
 
     return os.getpid()
-
-
-def _compile_one(payload) -> PartitionResult:
-    """Worker: compile one program on an isolated session fork."""
-    session, program = payload
-    from repro.pipeline.manager import PassManager
-
-    fork = session.fork()
-    with fork.checking():
-        artifacts = PassManager(fork).run(program)
-    return artifacts.require("partition", "compile_many")
-
-
-def compile_many(
-    programs: Sequence[Program], session, jobs: int = 1
-) -> List[PartitionResult]:
-    """Compile every program under one session context; results in order.
-
-    Each member runs on ``session.fork()`` — the session argument supplies
-    the *context* (machine geometry, partition config, fault plan, check
-    mode, pipeline shape), not shared mutable state — so ``jobs=1`` and
-    ``jobs=N`` produce identical results.  The caller's session machine is
-    never touched.
-    """
-    payloads = [(session, program) for program in programs]
-    return run_pool(_compile_one, payloads, jobs)

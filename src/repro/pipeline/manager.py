@@ -1,17 +1,18 @@
 """The :class:`PassManager`: runs the registered passes over a program.
 
 The manager owns the outer ``compile`` trace span, walks the session's
-pass order, times every pass into ``session.timings`` (report.json's
-``pipeline.pass_seconds``), emits one deterministic ``pipeline.pass``
-trace point per pass, and honors the skip set.  With the default order
-and no skips the artifact flow is bit-identical to the historical
-``NdpPartitioner.partition`` monolith.
+pass order, runs every executed pass in a ``pass.<name>`` span, emits one
+deterministic ``pipeline.pass`` trace point per pass, and honors the skip
+set.  With the default order and no skips the artifact flow is
+bit-identical to the historical ``NdpPartitioner.partition`` monolith.
 
-Timing semantics: ``schedule``'s seconds are the wall time of the whole
-scheduling pass, *including* the inline ``balance``/``sync_minimize``
-work done in its hot loop; ``sync_minimize`` additionally reports its own
-slice (accumulated per window by the scheduler), so the inline cost is
-visible without perturbing the totals.
+Timing semantics: the tracer's ``pass.`` span totals
+(``tracer.seconds("pass.")``) are report.json's ``pipeline.pass_seconds``.
+``schedule``'s seconds are the wall time of the whole scheduling pass,
+*including* the inline ``balance``/``sync_minimize`` work done in its hot
+loop; ``sync_minimize`` additionally reports its own slice (each window's
+minimize runs in a ``pass.sync_minimize`` span that only a debug trace
+writes out), so the inline cost is visible without perturbing the totals.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ class PassManager:
             )
             if not enabled:
                 continue
-            with session.timed_pass(name):
+            with tracer.span(f"pass.{name}"):
                 PASS_REGISTRY[name].run(session, artifacts)
         partition = artifacts.get("partition")
         if partition is not None:

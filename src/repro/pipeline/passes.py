@@ -597,7 +597,6 @@ class SchedulePass(Pass):
             for statement_schedule in schedule.statement_schedules()
             for sub in statement_schedule.subcomputations
         ]
-        machine.mcdram.reset()
         metrics = Simulator(machine, SimConfig()).run(units)
         return metrics.total_cycles, metrics.data_movement
 
@@ -622,8 +621,9 @@ class SyncMinimizePass(Pass):
     """§4.5's synchronization minimization — inline per window.
 
     Skipping this pass leaves every window's sync graph unminimized
-    (``sync_count == sync_count_unminimized``); the accumulated wall time
-    of the per-window ``minimize()`` calls is charged to this pass.
+    (``sync_count == sync_count_unminimized``).  Each window's
+    ``minimize()`` runs in a ``pass.sync_minimize`` span, so its wall
+    time is charged to this pass.
     """
 
     info = PassInfo("sync_minimize", "§4.5", "repro.core.syncgraph", inline=True)

@@ -11,20 +11,17 @@ keyword arguments.  The session bundles all of it:
   :class:`~repro.faults.FaultPlan`, and the check-mode flag;
 * **pipeline shape** — the pass order and the set of skipped passes
   (see :mod:`repro.pipeline.passes` for the registry);
-* **run state** — per-pass wall-clock timings and the cross-pass caches
-  (the per-nest location tables and statement-split templates shared by
-  every candidate plan's scheduling and window-size search).
+* **run state** — the cross-pass caches (the per-nest location tables
+  and statement-split templates shared by every candidate plan's
+  scheduling and window-size search).
 
-One session corresponds to one compile context.  ``fork()`` derives an
-independent sibling (fresh machine built from the same
-:class:`~repro.arch.machine.MachineConfig`, fault plan re-applied, empty
-caches) — the unit of isolation for :func:`repro.pipeline.compile_many`
-and for worker processes.
+One session corresponds to one compile context.  It keeps no wall times:
+the :class:`~repro.pipeline.manager.PassManager` runs each pass in a
+tracer span, and the tracer sums them (:mod:`repro.obs.tracer`).
 """
 
 from __future__ import annotations
 
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Optional, Tuple
@@ -34,10 +31,6 @@ from repro.core.partitioner import PartitionConfig
 from repro.errors import ConfigurationError
 from repro.faults import FaultPlan
 from repro.obs.tracer import get_tracer
-
-
-#: Sentinel distinguishing "inherit the plan" from an explicit ``None``.
-_INHERIT = object()
 
 
 class SessionCaches:
@@ -67,9 +60,8 @@ class CompilationSession:
     """Everything one compile needs, in one place.
 
     The pass pipeline (:mod:`repro.pipeline.passes`) reads its inputs from
-    here and records its per-pass timings here; core modules receive the
-    session instead of loose ``machine=``/``config=``/``faults=`` keyword
-    plumbing.
+    here; core modules receive the session instead of loose
+    ``machine=``/``config=``/``faults=`` keyword plumbing.
     """
 
     machine: Machine
@@ -81,9 +73,6 @@ class CompilationSession:
     pass_order: Optional[Tuple[str, ...]] = None
     #: Pass names to skip (validated against the order at run time).
     skip_passes: FrozenSet[str] = frozenset()
-    #: Per-pass wall-clock seconds, accumulated by the PassManager (and,
-    #: for inline passes such as ``sync_minimize``, by the scheduler).
-    timings: Dict[str, float] = field(default_factory=dict)
     caches: SessionCaches = field(default_factory=SessionCaches)
     _faults_applied: bool = field(default=False, repr=False)
 
@@ -117,27 +106,6 @@ class CompilationSession:
         self.machine.apply_faults(self.faults)
         self._faults_applied = True
 
-    def fork(self, *, faults=_INHERIT) -> "CompilationSession":
-        """An independent sibling session: fresh machine, empty caches.
-
-        The new machine is rebuilt from this machine's
-        :class:`~repro.arch.machine.MachineConfig` and the fault plan
-        (inherited unless overridden) is applied to it immediately, so the
-        fork is ready to compile.  Used by :func:`repro.pipeline.compile_many`
-        to isolate batch members and worker processes from each other.
-        """
-        plan = self.faults if faults is _INHERIT else faults
-        fork = CompilationSession(
-            machine=Machine(self.machine.config),
-            config=self.config,
-            faults=plan,
-            check=self.check,
-            pass_order=self.pass_order,
-            skip_passes=self.skip_passes,
-        )
-        fork.apply_faults()
-        return fork
-
     @contextmanager
     def checking(self):
         """Scoped check mode: active when the session (or env) asks for it."""
@@ -145,25 +113,6 @@ class CompilationSession:
 
         with check.checking(self.check or check.enabled()):
             yield
-
-    # -- timing ------------------------------------------------------------
-
-    def add_pass_seconds(self, name: str, seconds: float) -> None:
-        """Accumulate wall time against pass ``name``."""
-        self.timings[name] = self.timings.get(name, 0.0) + seconds
-
-    @contextmanager
-    def timed_pass(self, name: str):
-        """Time a block and charge it to pass ``name``."""
-        started = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.add_pass_seconds(name, time.perf_counter() - started)
-
-    def pass_seconds(self) -> Dict[str, float]:
-        """Per-pass wall seconds, rounded for serialization."""
-        return {name: round(seconds, 6) for name, seconds in self.timings.items()}
 
     # -- serialization -----------------------------------------------------
 

@@ -52,10 +52,6 @@ class ServeClient:
             )
         return self._conn
 
-    def connect(self) -> None:
-        """Open the connection now instead of on the first request."""
-        self._connection().connect()
-
     def close(self) -> None:
         """Close the underlying connection (idempotent)."""
         if self._conn is not None:

@@ -167,10 +167,5 @@ def worker_entry(payload: Dict) -> bytes:
     return compile_bytes(request)
 
 
-def _warm_worker(_: int) -> int:
-    """No-op warmup task used to pre-fork pool workers at daemon boot."""
-    return os.getpid()
-
-
 #: Signature workers implement; the daemon holds the pool, not this module.
 WorkerFn = Callable[[Dict], bytes]

@@ -183,10 +183,8 @@ class CompileService:
     def handle_batch(self, items: List[Dict]) -> List[Tuple[bytes, str]]:
         """Serve a batch concurrently; results in request order.
 
-        The HTTP batch endpoint maps onto the same semantics as
-        :func:`repro.pipeline.compile_many`: every member is independent
-        (own cache lookup, own single-flight slot, own worker), and the
-        response preserves order.  Batch members share the global queue
+        Every member is independent (own cache lookup, own single-flight
+        slot, own worker), and the response preserves order.  Batch members share the global queue
         bound, so an oversized batch surfaces :class:`Backpressure` on
         its overflowing members rather than stalling the daemon.
         """

@@ -1,19 +1,18 @@
 """Load-test harness: thousands of synthetic clients vs one daemon.
 
 ``python -m repro.serve.loadgen`` drives a two-phase load against a
-serve daemon and writes ``BENCH_serve.json``:
+serve daemon:
 
 * **cold** — every one of ``--unique`` distinct requests once (all
-  cache misses: this measures compile throughput through the queue and
-  worker pool);
+  cache misses, compiled through the queue and worker pool);
 * **warm** — the remaining ``--requests`` total re-issue those same
-  fingerprints round-robin (repeat traffic: this measures the
-  content-addressed store and must be nearly all cache hits).
+  fingerprints round-robin (repeat traffic, served by the
+  content-addressed store, so nearly all cache hits).
 
-Per phase it records client-observed p50/p95/p99 latency, throughput,
-and the cache hit rate.  No gate reads those timings: serve latency and
-throughput are measured by ``bench/`` (its ``serve-mixed`` workload),
-and this harness gates only through the assertions below.
+Per phase it counts completed, failed and rejected requests and cache
+hits.  It measures no time: serve latency and throughput are measured
+by ``bench/`` (its ``serve-mixed`` workload), and this harness gates
+only through the assertions below.
 
 Two ways to point it at a daemon::
 
@@ -29,28 +28,25 @@ response must be **byte-identical** to an in-process compile of the
 same request (`make serve-smoke`'s acceptance check).
 
 ``--out-dir DIR`` keeps the working tree clean: every *relative* output
-path (``--out``, ``--trace``, ``--cache-dir``) is routed under ``DIR``
-(created on demand) instead of landing in the repo root; absolute paths
-are honored as given.
+path (``--trace``, ``--cache-dir``) is routed under ``DIR`` (created on
+demand) instead of landing in the repo root; absolute paths are honored
+as given.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import signal
 import subprocess
 import sys
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ServeError
 from repro.serve.client import ServeClient, ServeResponseError
-
-BENCH_VERSION = 1
 
 
 def synthetic_request(index: int) -> Dict:
@@ -73,46 +69,19 @@ def synthetic_request(index: int) -> Dict:
 
 @dataclass
 class PhaseResult:
-    """Client-side measurements of one load phase."""
+    """Client-side counts of one load phase."""
 
     name: str
     requests: int = 0
+    completed: int = 0
     errors: int = 0
     rejected: int = 0
     cache_hits: int = 0
-    latencies_ms: List[float] = field(default_factory=list)
-    wall_seconds: float = 0.0
 
-    def percentile(self, fraction: float) -> float:
-        """Nearest-rank percentile of the recorded latencies (ms)."""
-        if not self.latencies_ms:
-            return 0.0
-        ordered = sorted(self.latencies_ms)
-        rank = min(len(ordered) - 1, int(fraction * len(ordered)))
-        return ordered[rank]
-
-    def to_json(self) -> Dict:
-        """The phase's ``BENCH_serve.json`` entry."""
-        completed = len(self.latencies_ms)
-        return {
-            "requests": self.requests,
-            "completed": completed,
-            "errors": self.errors,
-            "rejected": self.rejected,
-            "cache_hits": self.cache_hits,
-            "cache_hit_rate": (
-                round(self.cache_hits / completed, 6) if completed else 0.0
-            ),
-            "p50_ms": round(self.percentile(0.50), 3),
-            "p95_ms": round(self.percentile(0.95), 3),
-            "p99_ms": round(self.percentile(0.99), 3),
-            "wall_seconds": round(self.wall_seconds, 3),
-            "throughput_rps": (
-                round(completed / self.wall_seconds, 3)
-                if self.wall_seconds > 0
-                else 0.0
-            ),
-        }
+    @property
+    def hit_rate(self) -> float:
+        """Cache hits per completed request (0 when none completed)."""
+        return self.cache_hits / self.completed if self.completed else 0.0
 
 
 def run_phase(
@@ -120,39 +89,27 @@ def run_phase(
     name: str,
     requests: List[Dict],
     clients: int,
-    retry_rejected: bool = True,
 ) -> PhaseResult:
     """Drive ``requests`` through ``clients`` concurrent threads.
 
     Each client thread owns one keep-alive connection and pulls from a
     shared cursor, so the offered concurrency is exactly ``clients``.
-    Every thread connects before the phase clock starts, so the
-    percentiles and throughput measure keep-alive requests, not the
-    daemon accepting a burst of ``clients`` connections at once.
-    429 rejections count separately and are retried (with a short
-    backoff) when ``retry_rejected`` — the load must eventually land so
-    hit-rate accounting stays exact.
+    429 rejections count separately and are retried after a short
+    backoff — the load must eventually land so hit-rate accounting
+    stays exact.
     """
-    result = PhaseResult(name=name)
+    result = PhaseResult(name=name, requests=len(requests))
     lock = threading.Lock()
     cursor = iter(range(len(requests)))
-    threads_count = max(1, clients)
-    connected = threading.Barrier(threads_count + 1)
 
     def worker(client: ServeClient) -> None:
         try:
-            try:
-                client.connect()
-            except OSError:
-                pass  # the first request reconnects and counts any failure
-            connected.wait()
             while True:
                 with lock:
                     index = next(cursor, None)
                 if index is None:
                     return
                 request = requests[index]
-                started = time.perf_counter()
                 while True:
                     try:
                         _, cache = client.compile_raw(request)
@@ -160,9 +117,8 @@ def run_phase(
                         if exc.status == 429:
                             with lock:
                                 result.rejected += 1
-                            if retry_rejected:
-                                time.sleep(0.02)
-                                continue
+                            time.sleep(0.02)
+                            continue
                         with lock:
                             result.errors += 1
                         break
@@ -170,31 +126,25 @@ def run_phase(
                         with lock:
                             result.errors += 1
                         break
-                    elapsed_ms = (time.perf_counter() - started) * 1000.0
                     with lock:
-                        result.latencies_ms.append(elapsed_ms)
+                        result.completed += 1
                         if cache in ("hit", "joined"):
                             result.cache_hits += 1
                     break
         finally:
             client.close()
 
-    result.requests = len(requests)
-    # Clients are built here, so a bad URL raises before any thread
-    # could leave the barrier short of a party.
+    # Clients are built here, so a bad URL raises before any thread starts.
     threads = [
         threading.Thread(
             target=worker, args=(ServeClient(url),), name=f"loadgen-{name}-{i}"
         )
-        for i in range(threads_count)
+        for i in range(max(1, clients))
     ]
     for thread in threads:
         thread.start()
-    connected.wait()
-    started = time.perf_counter()
     for thread in threads:
         thread.join()
-    result.wall_seconds = time.perf_counter() - started
     return result
 
 
@@ -259,38 +209,16 @@ def run_load(
     total_requests: int,
     unique: int,
     clients: int,
-) -> Dict:
-    """The full cold+warm run against ``url``; returns the bench payload."""
+) -> Tuple[PhaseResult, PhaseResult]:
+    """The full cold+warm run against ``url``; returns both phases."""
     if unique < 1 or total_requests < unique:
         raise ServeError("--requests must be >= --unique (both >= 1)")
     pool = [synthetic_request(i) for i in range(unique)]
-    warm_count = total_requests - unique
-    warm = [pool[i % unique] for i in range(warm_count)]
-
-    cold_result = run_phase(url, "cold", pool, clients)
-    warm_result = run_phase(url, "warm", warm, clients)
-
-    with ServeClient(url) as client:
-        daemon_stats = client.stats()
-
-    return {
-        "version": BENCH_VERSION,
-        "clients": clients,
-        "unique_requests": unique,
-        "total_requests": total_requests,
-        "workers": daemon_stats.get("workers"),
-        "queue_depth": daemon_stats.get("queue_depth"),
-        "cold": cold_result.to_json(),
-        "warm": warm_result.to_json(),
-        "daemon": {
-            key: daemon_stats.get(key)
-            for key in (
-                "requests", "cache_hits", "cache_misses", "compiles",
-                "joined", "rejected", "retries", "worker_restarts",
-            )
-        },
-        "store": daemon_stats.get("store"),
-    }
+    warm = [pool[i % unique] for i in range(total_requests - unique)]
+    return (
+        run_phase(url, "cold", pool, clients),
+        run_phase(url, "warm", warm, clients),
+    )
 
 
 def verify_identity(url: str, request: Dict) -> None:
@@ -341,10 +269,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="daemon cache dir (spawn mode; cleared first)")
     parser.add_argument("--trace", default="",
                         help="daemon trace file (spawn mode)")
-    parser.add_argument("--out", default="BENCH_serve.json")
     parser.add_argument(
         "--out-dir", default="", metavar="DIR",
-        help="route relative --out/--trace/--cache-dir paths under DIR "
+        help="route relative --trace/--cache-dir paths under DIR "
         "(created on demand) instead of the current directory",
     )
     parser.add_argument(
@@ -360,7 +287,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.out_dir:
         os.makedirs(args.out_dir, exist_ok=True)
-        for name in ("out", "trace", "cache_dir"):
+        for name in ("trace", "cache_dir"):
             value = getattr(args, name)
             if value and not os.path.isabs(value):
                 setattr(args, name, os.path.join(args.out_dir, value))
@@ -380,53 +307,44 @@ def main(argv: Optional[List[str]] = None) -> int:
         else:
             url = args.url
 
-        payload = run_load(url, args.requests, args.unique, args.clients)
+        phases = run_load(url, args.requests, args.unique, args.clients)
+        warm = phases[1]
 
-        failures: List[str] = []
-        for phase in ("cold", "warm"):
-            entry = payload[phase]
-            if entry["errors"]:
-                failures.append(f"{phase} pass had {entry['errors']} errors")
-        warm_rate = payload["warm"]["cache_hit_rate"]
+        failures: List[str] = [
+            f"{phase.name} pass had {phase.errors} errors"
+            for phase in phases
+            if phase.errors
+        ]
         if args.assert_warm_hit_rate is not None:
             if args.requests == args.unique:
                 failures.append(
                     "--assert-warm-hit-rate needs a warm pass "
                     "(--requests > --unique)"
                 )
-            elif warm_rate < args.assert_warm_hit_rate:
+            elif warm.hit_rate < args.assert_warm_hit_rate:
                 failures.append(
-                    f"warm cache hit rate {warm_rate:.3f} < "
+                    f"warm cache hit rate {warm.hit_rate:.3f} < "
                     f"required {args.assert_warm_hit_rate:.3f}"
                 )
         if args.verify_identity:
             try:
                 verify_identity(url, synthetic_request(0))
-                payload["identity_verified"] = True
+                print("identity: cached artifact matches a fresh compile")
             except ServeError as exc:
                 failures.append(str(exc))
 
         if process is not None:
             code = terminate_daemon(process)
-            payload["sigterm_exit_code"] = code
             process = None
             if code != 0:
                 failures.append(f"daemon exited {code} after SIGTERM")
 
-        with open(args.out, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-        for phase in ("cold", "warm"):
-            entry = payload[phase]
+        for phase in phases:
             print(
-                f"{phase:>5}: {entry['completed']}/{entry['requests']} ok  "
-                f"p50={entry['p50_ms']:.1f}ms p95={entry['p95_ms']:.1f}ms "
-                f"p99={entry['p99_ms']:.1f}ms  "
-                f"{entry['throughput_rps']:.0f} req/s  "
-                f"hit-rate={entry['cache_hit_rate']:.1%}"
+                f"{phase.name:>5}: {phase.completed}/{phase.requests} ok  "
+                f"errors={phase.errors} rejected={phase.rejected}  "
+                f"hit-rate={phase.hit_rate:.1%}"
             )
-        print(f"wrote {args.out}")
 
         if failures:
             for failure in failures:

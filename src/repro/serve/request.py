@@ -100,6 +100,17 @@ def _require_type(value, types, what: str):
     return value
 
 
+def _loop_int(value, key: str) -> int:
+    """A loop bound or step: an ``int`` that is not a ``bool``.
+
+    Anything else raises :class:`ServeError` (HTTP 400); ``int()`` would
+    read ``true`` and ``1.7`` as 1.
+    """
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ServeError(f"loop field {key!r} must be an integer, got {value!r}")
+    return value
+
+
 def _canonical_program(spec: Dict) -> Dict:
     """Validate an inline program spec and return its canonical form."""
     _require_type(spec, dict, "request field 'program'")
@@ -146,9 +157,9 @@ def _canonical_program(spec: Dict) -> Dict:
             try:
                 canonical_loops.append({
                     "var": _require_type(loop["var"], str, "loop var"),
-                    "start": int(loop["start"]),
-                    "stop": int(loop["stop"]),
-                    "step": int(loop.get("step", 1)),
+                    "start": _loop_int(loop["start"], "start"),
+                    "stop": _loop_int(loop["stop"], "stop"),
+                    "step": _loop_int(loop.get("step", 1), "step"),
                 })
             except KeyError as exc:
                 raise ServeError(f"loop is missing field {exc}") from exc

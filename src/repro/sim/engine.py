@@ -282,10 +282,15 @@ class Simulator:
     def run(self, units: Sequence[Subcomputation]) -> SimMetrics:
         """Simulate ``units``; returns the filled :class:`SimMetrics`.
 
+        Every run starts from cold memory-side (MCDRAM) cache tags, as it
+        does from fresh L1 and L2 caches, whatever an earlier simulation
+        on the same machine left behind.
+
         With tracing enabled (:mod:`repro.obs`), the run is wrapped in a
         ``sim.run`` span with periodic ``sim.epoch`` counter snapshots;
         tracing reads counters only and never alters the simulation.
         """
+        self.machine.mcdram.reset()
         metrics = SimMetrics()
         if not units:
             return metrics

@@ -43,7 +43,6 @@ def run_replay(machine, units, **kwargs):
 
 
 def sim_forecast(machine, units):
-    machine.mcdram.reset()
     return SimBackend().run(machine, units)
 
 
@@ -59,7 +58,6 @@ def assert_sync_order_valid(replayed, units):
 class TestSimBackendAdapter:
     def test_matches_direct_simulator_run(self, compiled):
         machine, units = compiled
-        machine.mcdram.reset()
         direct = Simulator(machine, SimConfig()).run(units)
         result = sim_forecast(machine, units)
         assert result.data_movement == direct.data_movement

@@ -324,7 +324,6 @@ def test_placement_and_partition_avoid_offline_nodes(machine):
 
     placement = DefaultPlacement(machine).place(tiny_app())
     assert all(unit.node not in dead for unit in placement.units)
-    machine.mcdram.reset()
     units = _tiny_units(machine)
     assert units
     assert all(unit.node not in dead for unit in units)
@@ -334,7 +333,6 @@ def test_degraded_run_flits_sum_to_data_movement(machine):
     plan = _seeded_plan(machine)
     machine.apply_faults(plan)
     units = _tiny_units(machine)
-    machine.mcdram.reset()
     metrics = Simulator(machine, SimConfig()).run(units)
     assert metrics.data_movement > 0
     assert sum(metrics.link_flits.values()) == metrics.data_movement
@@ -345,13 +343,11 @@ def test_degraded_run_flits_sum_to_data_movement(machine):
 def test_empty_plan_is_bit_identical_to_healthy():
     healthy = small_machine()
     healthy_units = _tiny_units(healthy)
-    healthy.mcdram.reset()
     healthy_metrics = Simulator(healthy, SimConfig()).run(healthy_units)
 
     empty = small_machine()
     empty.apply_faults(FaultPlan(seed=0))
     empty_units = _tiny_units(empty)
-    empty.mcdram.reset()
     empty_metrics = Simulator(empty, SimConfig()).run(empty_units)
 
     assert [u.node for u in empty_units] == [u.node for u in healthy_units]
@@ -368,7 +364,6 @@ def test_midrun_node_death_relocates_units():
     plan = FaultPlan(seed=1, nodes=(NodeFault(victim, at_unit=3),))
 
     machine.apply_faults(plan)
-    machine.mcdram.reset()
     metrics = Simulator(machine, SimConfig()).run(units)
     assert metrics.fault_events == 1
     assert metrics.fault_relocations > 0

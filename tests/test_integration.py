@@ -70,7 +70,6 @@ class TestEndToEndInvariants:
         result = NdpPartitioner(m_optimized, PartitionConfig()).partition(
             medium_program()
         )
-        m_optimized.mcdram.reset()
         optimized = run_schedule(m_optimized, result.units())
         return default, optimized, result
 
@@ -111,7 +110,6 @@ class TestEndToEndInvariants:
             medium_program()
         )
         units = result.units()
-        machine.mcdram.reset()
         normal = run_schedule(machine, units)
         machine2 = small_machine()
         medium_program().declare_on(machine2)

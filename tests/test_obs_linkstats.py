@@ -28,7 +28,6 @@ def _default_run():
 def _optimized_run():
     machine = small_machine()
     partition = NdpPartitioner(machine, PartitionConfig()).partition(tiny_app())
-    machine.mcdram.reset()
     simulator = Simulator(machine, SimConfig())
     metrics = simulator.run(partition.units())
     return machine, simulator, metrics

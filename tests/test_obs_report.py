@@ -91,6 +91,38 @@ def test_report_is_deterministic():
     assert first == second
 
 
+def test_report_times_are_its_trace_spans(tmp_path):
+    """Traced or not, a report reads its wall times from span totals."""
+    from repro.pipeline import DEFAULT_PASS_ORDER
+
+    trace = tmp_path / "trace.jsonl"
+    report = build_report("tiny", trace_file=str(trace))
+    span_seconds = {}
+    for event in read_events(str(trace)):
+        if event["ev"] == "E":
+            name = event["name"]
+            span_seconds[name] = span_seconds.get(name, 0.0) + event["dur"]
+    for name, seconds in report["phase_seconds"].items():
+        assert seconds == pytest.approx(span_seconds[f"phase.{name}"], abs=1e-6)
+    pass_seconds = report["pipeline"]["pass_seconds"]
+    assert set(pass_seconds) == set(DEFAULT_PASS_ORDER)
+    for name in DEFAULT_PASS_ORDER:
+        # The per-window sync_minimize spans count, but only a debug
+        # trace writes them out.
+        if name != "sync_minimize":
+            assert pass_seconds[name] == pytest.approx(
+                span_seconds[f"pass.{name}"], abs=1e-6
+            )
+    untraced = build_report("tiny")
+    assert set(untraced["phase_seconds"]) == set(report["phase_seconds"])
+    assert set(untraced["pipeline"]["pass_seconds"]) == set(pass_seconds)
+    # Apart from wall times and the trace path, tracing changes nothing.
+    for each in (report, untraced):
+        del each["phase_seconds"], each["trace_file"]
+        del each["pipeline"]["pass_seconds"]
+    assert report == untraced
+
+
 def test_summary_lines_mention_headline_numbers(tiny_report):
     text = "\n".join(summary_lines(tiny_report))
     assert "movement reduction" in text

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import io
 import json
+import sys
+import threading
 
 from repro.arch.knl import small_machine
 from repro.benchmarks.perf import tiny_app
@@ -31,7 +33,6 @@ def _run_pipeline():
     """Compile + simulate the tiny app; returns (partition, metrics)."""
     machine = small_machine()
     partition = NdpPartitioner(machine, PartitionConfig()).partition(tiny_app())
-    machine.mcdram.reset()
     metrics = Simulator(machine, SimConfig()).run(partition.units())
     return partition, metrics
 
@@ -50,6 +51,8 @@ def test_default_tracer_is_null_and_noop():
     assert NULL_TRACER.debug is False
     with NULL_TRACER.span("phase", detail=1) as span:
         span.add(more=2)
+    with NULL_TRACER.debug_span("window", detail=1):
+        pass
     NULL_TRACER.point("event", value=3)
     NULL_TRACER.close()  # all no-ops; nothing to assert beyond "no crash"
 
@@ -60,6 +63,63 @@ def test_tracing_installs_and_restores():
         assert get_tracer() is tracer
         assert isinstance(tracer, Tracer) and tracer.enabled
     assert get_tracer() is NULL_TRACER
+
+
+def test_sinkless_tracer_sums_spans_and_writes_nothing():
+    tracer = Tracer()
+    assert (tracer.enabled, tracer.debug) == (False, False)
+    for _ in range(2):
+        with tracer.span("phase.build", detail=1) as span:
+            span.add(more=2)
+    with tracer.debug_span("pass.sync_minimize"):
+        pass
+    tracer.point("event", value=3)
+    tracer.close()
+    assert list(tracer.seconds("phase.")) == ["build"]
+    assert list(tracer.seconds()) == ["phase.build", "pass.sync_minimize"]
+    assert all(v >= 0.0 for v in tracer.seconds().values())
+
+
+def test_debug_span_counts_always_but_is_written_only_when_debug():
+    for debug in (False, True):
+        sink = io.StringIO()
+        tracer = Tracer(sink, debug=debug)
+        with tracer.debug_span("pass.sync_minimize"):
+            pass
+        assert list(tracer.seconds("pass.")) == ["sync_minimize"]
+        names = [json.loads(line)["name"] for line in sink.getvalue().splitlines()]
+        assert names == (["pass.sync_minimize"] * 2 if debug else [])
+
+
+def test_concurrent_span_totals_lose_no_update():
+    """Daemon handler threads share one tracer; every closed span counts."""
+    ticks = threading.local()
+
+    class TickTracer(Tracer):
+        # Each thread's clock advances one second per read, so every
+        # span (one read at open, one at close) lasts exactly 1.0.
+        def _now(self):
+            ticks.now = getattr(ticks, "now", 0.0) + 1.0
+            return ticks.now
+
+    tracer = TickTracer()
+
+    def close_spans():
+        for _ in range(2000):
+            tracer.span("request").end()
+
+    threads = [threading.Thread(target=close_spans) for _ in range(8)]
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(thread.is_alive() for thread in threads)
+    assert tracer.seconds() == {"request": 16000.0}
 
 
 def test_set_tracer_returns_previous():

@@ -176,7 +176,6 @@ class TestGateScheduleReuse:
                 partitioner = NdpPartitioner(machine, config)
                 partitioner.predictor = predictor
                 result = partitioner.partition(build())
-                machine.mcdram.reset()
                 metrics = run_schedule(machine, result.units())
                 results.append((result, metrics))
             (fast, fast_metrics), (slow, slow_metrics) = results

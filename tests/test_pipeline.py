@@ -1,9 +1,9 @@
-"""The pass pipeline: registry, session, manager, batch API, CLI, schema.
+"""The pass pipeline: registry, session, manager, CLI, schema.
 
 Covers the refactor's contract: the default order reproduces the
 pre-refactor compile bit-for-bit (golden test), passes can be reordered
-and skipped, the session serializes into report.json's ``pipeline``
-section (schema v3), and the batch API matches serial compilation.
+and skipped, each executed pass runs in a tracer span, and the session
+serializes into report.json's ``pipeline`` section (schema v3).
 """
 
 from __future__ import annotations
@@ -27,12 +27,12 @@ from repro.ir.parser import parse_statement
 from repro.ir.program import Program
 from repro.obs.report import build_report
 from repro.obs.schema import validate_report
+from repro.obs.tracer import tracing
 from repro.pipeline import (
     DEFAULT_PASS_ORDER,
     PASS_REGISTRY,
     Artifacts,
     PassManager,
-    compile_many,
     compile_program,
     session_for,
 )
@@ -141,12 +141,11 @@ class TestPipelineRuns:
             PassManager(session).run(split_program())
 
     def test_pass_timings_cover_the_executed_passes(self):
-        session = always_split_session()
-        compile_program(split_program(), session)
-        seconds = session.pass_seconds()
-        assert "schedule" in seconds
+        with tracing() as tracer:
+            compile_program(split_program(), always_split_session())
+        seconds = tracer.seconds("pass.")
+        assert set(seconds) == set(DEFAULT_PASS_ORDER)
         assert all(v >= 0.0 for v in seconds.values())
-        assert set(seconds) <= set(DEFAULT_PASS_ORDER)
 
     def test_skip_sync_minimize_leaves_windows_unminimized(self):
         skipped = compile_program(
@@ -166,23 +165,29 @@ class TestPipelineRuns:
         balancer.record(0, 1_000_000)
         assert not balancer.would_unbalance(0, 1.0)
 
+    @pytest.mark.parametrize("skip, placed", [((), True), (("profile",), False)])
+    def test_skip_profile_leaves_mcdram_unplaced(self, skip, placed):
+        """Only the profile pass records the profile that fills flat MCDRAM."""
+        session = always_split_session(skip_passes=skip)
+        compile_program(split_program(), session)
+        mcdram = session.machine.mcdram
+        in_flat = [
+            spec.name
+            for spec in session.layout.arrays()
+            if mcdram.in_flat_mcdram(spec.name)
+        ]
+        assert bool(in_flat) is placed
+
     def test_skipped_pass_does_not_accrue_time(self):
         session = always_split_session(skip_passes=("sync_minimize",))
-        compile_program(split_program(), session)
-        assert "sync_minimize" not in session.pass_seconds()
+        with tracing() as tracer:
+            compile_program(split_program(), session)
+        assert set(tracer.seconds("pass.")) == set(DEFAULT_PASS_ORDER) - {
+            "sync_minimize"
+        }
 
 
 class TestSessionLifecycle:
-    def test_fork_is_isolated(self):
-        session = always_split_session()
-        compile_program(split_program(), session)
-        fork = session.fork()
-        assert fork.machine is not session.machine
-        assert session.caches.split_templates
-        assert fork.caches.split_templates == {}
-        assert fork.skip_passes == session.skip_passes
-        assert fork.timings == {}
-
     def test_to_json_shape(self):
         session = always_split_session(skip_passes=("balance",))
         blob = session.to_json()
@@ -191,17 +196,6 @@ class TestSessionLifecycle:
         assert blob["faults_fingerprint"] is None
         assert blob["machine"]["mesh_cols"] == session.machine.config.mesh_cols
         json.dumps(blob)  # fully serializable
-
-
-class TestBatchApi:
-    def test_compile_many_matches_serial(self):
-        session = always_split_session()
-        serial = compile_many([split_program("a"), split_program("b")], session)
-        parallel = compile_many(
-            [split_program("a"), split_program("b")], session, jobs=2
-        )
-        assert [r.movement for r in serial] == [r.movement for r in parallel]
-        assert [r.program_name for r in parallel] == ["a", "b"]
 
 
 class TestReportIntegration:

@@ -29,6 +29,17 @@ from repro.serve.request import CompileRequest
 TINY = {"app": "tiny"}
 
 
+def inline_loop(**fields):
+    """An inline-program request whose one loop carries ``fields``."""
+    loop = {"var": "i", "start": 0, "stop": 16, **fields}
+    return {
+        "program": {
+            "arrays": {"A": 64, "B": 64},
+            "nests": [{"loops": [loop], "body": ["A(i) = B(i)"]}],
+        }
+    }
+
+
 def make_daemon(tmp_path, **overrides):
     options = {
         "workers": 0,
@@ -108,6 +119,12 @@ class TestHttpSurface:
             ({**TINY, "backend": "runtime"}, "unknown request field"),
             ({**TINY, "skip_passes": ["execute"]}, "unknown pass name"),
             ({**TINY, "faults": {"seed": "x"}}, "'seed' must be an integer"),
+            (inline_loop(start="abc"), "'start' must be an integer"),
+            (inline_loop(start=None), "'start' must be an integer"),
+            (inline_loop(start=1.7), "'start' must be an integer"),
+            (inline_loop(start=True), "'start' must be an integer"),
+            (inline_loop(stop=[1]), "'stop' must be an integer"),
+            (inline_loop(step="5"), "'step' must be an integer"),
         ],
     )
     def test_retired_execution_fields_are_400(

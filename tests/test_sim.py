@@ -190,7 +190,20 @@ class TestEndToEndSimulation:
 
         program2 = copy.deepcopy(tiny_program)
         result = NdpPartitioner(m_opt, PartitionConfig()).partition(program2)
-        m_opt.mcdram.reset()
         optimized_metrics = run_schedule(m_opt, result.units())
 
         assert optimized_metrics.total_cycles <= default_metrics.total_cycles * 1.10
+
+    def test_each_run_starts_from_cold_mcdram_tags(self):
+        """The gate's simulations during a compile do not warm the final run."""
+        from repro.arch.knl import small_machine
+        from repro.arch.memory_modes import MemoryMode
+        from repro.benchmarks.perf import tiny_app
+        from repro.pipeline import compile_program, session_for
+
+        machine = small_machine(memory_mode=MemoryMode.CACHE)
+        units = compile_program(tiny_app(), session_for(machine)).units()
+        after_compile = run_schedule(machine, units)
+        machine.mcdram.reset()
+        after_reset = run_schedule(machine, units)
+        assert after_compile.to_dict() == after_reset.to_dict()
