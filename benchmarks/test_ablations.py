@@ -12,7 +12,7 @@ import itertools
 import pytest
 from conftest import run_once
 
-from repro.core.balancer import LoadBalancer
+from repro.core import balancer
 from repro.core.locator import DataLocator
 from repro.core.window import WindowConfig, WindowScheduler
 from repro.experiments.common import compare_app, paper_machine
@@ -65,12 +65,13 @@ def test_ablation_sync_minimization(benchmark):
         assert minimized <= unminimized
 
 
-def test_ablation_balance_threshold(benchmark):
+def test_ablation_balance_threshold(benchmark, monkeypatch):
+    # The threshold is the module constant the balancer reads per call.
     def run():
         rows = {}
         for threshold in (0.0, 0.10, 0.50):
-            schedule = schedule_nest_movement(APPS[0], balance_threshold=threshold)
-            rows[threshold] = schedule.movement
+            monkeypatch.setattr(balancer, "BALANCE_THRESHOLD", threshold)
+            rows[threshold] = schedule_nest_movement(APPS[0]).movement
         return rows
 
     rows = run_once(benchmark, run)

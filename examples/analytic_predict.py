@@ -20,13 +20,12 @@ Run:  python examples/analytic_predict.py
 from repro.arch.knl import small_machine
 from repro.cache.predictor import HitMissPredictor
 from repro.core.locality import AnalyticMissPredictor
-from repro.core.partitioner import NdpPartitioner, train_predictor
+from repro.core.partitioner import PartitionConfig, train_predictor
 from repro.ir.affine import access_table
 from repro.ir.loop import Loop, LoopNest
 from repro.ir.parser import parse_statement
 from repro.ir.program import Program
-from repro.pipeline import session_for
-from repro.pipeline.passes import predictor_pass_order
+from repro.pipeline import compile_program, session_for
 
 
 def build_program() -> Program:
@@ -106,11 +105,8 @@ def compare_with_trace(analytic_pair, trace_pair) -> None:
 
 
 def partition_with(predictor_name: str):
-    session = session_for(
-        small_machine(), pass_order=predictor_pass_order(predictor_name)
-    )
-    partition = NdpPartitioner.from_session(session).partition(build_program())
-    return partition
+    config = PartitionConfig(predictor=predictor_name)
+    return compile_program(build_program(), session_for(small_machine(), config))
 
 
 def main() -> int:

@@ -11,9 +11,9 @@ Run:  python examples/irregular_inspector.py
 """
 
 from repro.baselines import DefaultPlacement
-from repro.core import NdpPartitioner, PartitionConfig
 from repro.experiments.common import paper_machine
 from repro.ir import InspectorExecutor, analyzable_fraction
+from repro.pipeline import compile_program, session_for
 from repro.sim import run_schedule
 from repro.workloads import build_workload
 
@@ -36,9 +36,7 @@ def main() -> None:
     default = run_schedule(m_default, placement.units)
 
     m_optimized = paper_machine()
-    result = NdpPartitioner(m_optimized, PartitionConfig()).partition(
-        build_workload("radix")
-    )
+    result = compile_program(build_workload("radix"), session_for(m_optimized))
     m_optimized.mcdram.reset()
     optimized = run_schedule(m_optimized, result.units())
 

@@ -12,8 +12,8 @@ import sys
 
 from repro.arch import ClusterMode, MemoryMode
 from repro.baselines import DefaultPlacement
-from repro.core import NdpPartitioner, PartitionConfig
 from repro.experiments.common import paper_machine
+from repro.pipeline import compile_program, session_for
 from repro.sim import run_schedule
 from repro.workloads import ALL_WORKLOAD_NAMES, build_workload
 
@@ -24,9 +24,7 @@ def run_pair(app, cluster, memory):
     default = run_schedule(m_default, placement.units)
 
     m_optimized = paper_machine(cluster, memory)
-    result = NdpPartitioner(m_optimized, PartitionConfig()).partition(
-        build_workload(app)
-    )
+    result = compile_program(build_workload(app), session_for(m_optimized))
     m_optimized.mcdram.reset()
     optimized = run_schedule(m_optimized, result.units())
     return default.total_cycles, optimized.total_cycles

@@ -11,8 +11,9 @@ Run:  python examples/quickstart.py
 
 from repro.arch import Machine, MachineConfig
 from repro.baselines import DefaultPlacement
-from repro.core import NdpPartitioner, PartitionConfig, generate_code
+from repro.core import PartitionConfig, generate_code
 from repro.ir import Loop, LoopNest, Program, parse_statement
+from repro.pipeline import compile_program, session_for
 from repro.sim import run_schedule
 
 
@@ -59,7 +60,7 @@ def main() -> None:
     # Gated: the production pipeline — split only where the profile and the
     # empirical gate say it beats the default on time AND movement.
     m_gated = machine()
-    gated = NdpPartitioner(m_gated, PartitionConfig()).partition(build_program())
+    gated = compile_program(build_program(), session_for(m_gated))
     m_gated.mcdram.reset()
     gated_metrics = run_schedule(m_gated, gated.units())
     print("gated       :", gated_metrics.summary(), f"plan={gated.variant_by_nest}")
@@ -69,9 +70,8 @@ def main() -> None:
     from repro.core.window import WindowConfig
 
     m_split = machine()
-    split = NdpPartitioner(
-        m_split, PartitionConfig(window=WindowConfig(always_split=True))
-    ).partition(build_program())
+    always_split = PartitionConfig(window=WindowConfig(always_split=True))
+    split = compile_program(build_program(), session_for(m_split, always_split))
     m_split.mcdram.reset()
     split_metrics = run_schedule(m_split, split.units())
     print("always-split:", split_metrics.summary())

@@ -11,9 +11,9 @@ Run:  python examples/stencil_partitioning.py
 """
 
 from repro.baselines import DefaultPlacement
-from repro.core import NdpPartitioner, PartitionConfig
-from repro.core.window import WindowConfig
+from repro.core import PartitionConfig
 from repro.experiments.common import paper_machine
+from repro.pipeline import compile_program, session_for
 from repro.sim import run_schedule
 from repro.workloads import build_workload
 
@@ -26,9 +26,7 @@ def main() -> None:
     print(f"default   : {default.summary()}")
 
     m_adaptive = paper_machine()
-    adaptive = NdpPartitioner(m_adaptive, PartitionConfig()).partition(
-        build_workload(app)
-    )
+    adaptive = compile_program(build_workload(app), session_for(m_adaptive))
     m_adaptive.mcdram.reset()
     adaptive_metrics = run_schedule(m_adaptive, adaptive.units())
     print(f"adaptive  : {adaptive_metrics.summary()}")
@@ -44,7 +42,7 @@ def main() -> None:
             fixed_window_size=size,
             split_plan_override=adaptive.split_plan,
         )
-        result = NdpPartitioner(m, config).partition(build_workload(app))
+        result = compile_program(build_workload(app), session_for(m, config))
         m.mcdram.reset()
         metrics = run_schedule(m, result.units())
         reduction = (base - metrics.total_cycles) / base

@@ -10,13 +10,12 @@ Quick start::
 
     from repro.arch import knl_machine
     from repro.workloads import build_workload
-    from repro.core import NdpPartitioner
-    from repro.baselines import DefaultPlacement
+    from repro.pipeline import compile_program, session_for
     from repro.sim import run_schedule
 
     machine = knl_machine()
     program = build_workload("ocean")
-    result = NdpPartitioner(machine).partition(program)
+    result = compile_program(program, session_for(machine))
     metrics = run_schedule(machine, result.units())
     print(metrics.summary())
 
@@ -24,6 +23,7 @@ Packages: :mod:`repro.noc` (mesh network), :mod:`repro.arch` (machine
 template + KNL modes), :mod:`repro.mem` (address mapping, page coloring),
 :mod:`repro.cache` (L1/L2 + predictor), :mod:`repro.ir` (statements, loops,
 dependences), :mod:`repro.core` (the partitioner), :mod:`repro.baselines`,
+:mod:`repro.pipeline` (the compile's fixed pass sequence),
 :mod:`repro.sim` (execution simulator + energy), :mod:`repro.workloads`
 (the 12 applications), :mod:`repro.experiments` (every paper table/figure).
 """

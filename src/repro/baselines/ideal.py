@@ -19,8 +19,9 @@ from typing import Optional
 from repro.arch.machine import Machine
 from repro.cache.hierarchy import CacheSystem
 from repro.cache.predictor import PredictorStats
-from repro.core.partitioner import NdpPartitioner, PartitionConfig, PartitionResult
+from repro.core.partitioner import PartitionConfig, PartitionResult
 from repro.ir.program import Program
+from repro.pipeline import compile_program, session_for
 from repro.sim.engine import SimConfig
 
 
@@ -85,11 +86,14 @@ def partition_with_ideal_analysis(
 
     Oracle predictor + a generous L1-reuse model stand in for the paper's
     profile-everything run; the result upper-bounds what better compiler
-    analysis could buy.
+    analysis could buy.  The oracle is seeded into the pipeline in place
+    of the predictor the config would build.
     """
     base = config or PartitionConfig()
     window = replace(base.window, l1_model_blocks=max(base.window.l1_model_blocks, 512))
-    ideal_config = replace(base, window=window, use_predictor=False)
-    partitioner = NdpPartitioner(machine, ideal_config)
-    partitioner.predictor = OracleL2Predictor(machine)  # type: ignore[assignment]
-    return partitioner.partition(program)
+    ideal_config = replace(base, window=window, predictor=None)
+    return compile_program(
+        program,
+        session_for(machine, ideal_config),
+        initial={"predictor": OracleL2Predictor(machine)},
+    )

@@ -14,7 +14,7 @@ The invariant -> module map lives in DESIGN.md section 10.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Sequence, Tuple
 
 from repro.check.oracles import (
     INF,
@@ -134,7 +134,7 @@ def check_balancer_choice(
     """The balancer's verdict follows its own 10% rule.
 
     The chosen node either passes the would-unbalance test (stays within
-    ``threshold`` of the next most-loaded node) or — when every candidate
+    the 10% threshold of the next most-loaded node) or — when every candidate
     is vetoed — is the least-loaded candidate (deterministic ties by id).
     """
     require(
@@ -512,27 +512,3 @@ def check_partition_accounting(partition) -> None:
             f"nest {name!r} movement {schedule.movement} != per-window sum "
             f"{window_sum}",
         )
-
-
-def check_balanced_loads(
-    balancer, threshold: Optional[float] = None, slack_cost: float = 0.0
-) -> None:
-    """Final per-node loads respect the balance rule up to one assignment.
-
-    Every accepted placement either kept its node within ``threshold`` of
-    the next most-loaded node or fell back to the then-least-loaded node,
-    so the finished load vector can exceed perfect balance by at most the
-    largest single subcomputation cost (``slack_cost``).
-    """
-    limit = threshold if threshold is not None else balancer.threshold
-    busy = [load for load in balancer.load if load > 0]
-    if len(busy) < 2:
-        return
-    ordered = sorted(busy, reverse=True)
-    heaviest, runner_up = ordered[0], ordered[1]
-    require(
-        heaviest <= (1.0 + limit) * runner_up + slack_cost,
-        f"load balance broken: heaviest node carries {heaviest:.1f} vs "
-        f"runner-up {runner_up:.1f} (threshold {limit:.0%}, "
-        f"slack {slack_cost:.1f})",
-    )

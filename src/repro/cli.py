@@ -27,11 +27,11 @@ window-search candidates, simulator epochs) to ``FILE``; see
 :mod:`repro.obs.tracer`.  Tracing never changes any printed number.
 
 ``compare`` and ``report`` accept ``--predictor {trace,analytic}`` to
-choose the L2 miss predictor the compile pipeline uses: ``trace`` (the
-default) trains the two-bit region predictor on a simulated trace;
-``analytic`` swaps in the closed-form locality model of
-:mod:`repro.core.locality` (DESIGN.md section 12).  The default path is
-bit-identical with the flag absent.
+choose the L2 miss predictor the ``predict`` pass builds
+(``PartitionConfig.predictor``): ``trace`` (the default) trains the
+two-bit region predictor on a simulated trace; ``analytic`` builds the
+closed-form locality model of :mod:`repro.core.locality` (DESIGN.md
+section 12).  The default path is bit-identical with the flag absent.
 
 Every subcommand executes a schedule one way: the event simulator.
 The task-graph replay that cross-checks it is an oracle in
@@ -61,6 +61,7 @@ import sys
 from typing import List
 
 from repro.core.codegen import generate_code
+from repro.core.partitioner import PREDICTORS, PartitionConfig
 from repro.errors import ReproError
 from repro.experiments.common import compare_app
 from repro.faults import FaultPlan
@@ -168,25 +169,18 @@ def _run_compare(args) -> int:
 
 def _list_passes() -> int:
     """Print the registered pass pipeline (``report --list-passes``)."""
-    from repro.pipeline import DEFAULT_PASS_ORDER, PASS_REGISTRY
+    from repro.pipeline import PASS_REGISTRY
 
     print(f"{'pass':<14} {'paper':<10} {'module':<22} notes")
     print(f"{'-' * 14} {'-' * 10} {'-' * 22} {'-' * 5}")
-    ordered = list(DEFAULT_PASS_ORDER) + [
-        name for name in PASS_REGISTRY if name not in DEFAULT_PASS_ORDER
-    ]
-    for name in ordered:
-        info = PASS_REGISTRY[name].info
-        notes = []
-        if info.inline:
-            notes.append("inline")
-        if not info.default:
-            notes.append("not in default order")
+    for registered in PASS_REGISTRY.values():
+        info = registered.info
+        notes = "inline" if info.inline else ""
         print(
             f"{info.name:<14} {info.paper_section:<10} "
-            f"{info.module:<22} {', '.join(notes)}".rstrip()
+            f"{info.module:<22} {notes}".rstrip()
         )
-    print(f"\ndefault order: {' -> '.join(DEFAULT_PASS_ORDER)}")
+    print(f"\norder: {' -> '.join(PASS_REGISTRY)}")
     return 0
 
 
@@ -206,17 +200,15 @@ def _cmd_report(args) -> int:
             file=sys.stderr,
         )
         return 2
-    from repro.pipeline.passes import predictor_pass_order
-
     report = build_report(
         args.app,
         scale=args.scale,
         seed=args.seed,
         trace_file=args.trace or None,
         debug_trace=args.trace_debug,
+        partition_config=PartitionConfig(predictor=args.predictor),
         faults=_fault_plan_of(args),
         skip_passes=tuple(args.skip_pass),
-        pass_order=predictor_pass_order(args.predictor),
     )
     write_report(report, args.out)
     print("\n".join(summary_lines(report)))
@@ -360,7 +352,7 @@ def main(argv: List[str] = None) -> int:
     def add_predictor_flag(p) -> None:
         p.add_argument(
             "--predictor",
-            choices=["trace", "analytic"],
+            choices=PREDICTORS,
             default="trace",
             help="L2 miss predictor: 'trace' (default, trace-trained) or "
             "'analytic' (closed-form locality model, DESIGN.md sec. 12)",
@@ -397,7 +389,8 @@ def main(argv: List[str] = None) -> int:
         action="append",
         default=[],
         metavar="NAME",
-        help="skip a registered compiler pass (repeatable; see --list-passes)",
+        help="skip a registered compiler pass other than schedule "
+        "(repeatable; see --list-passes)",
     )
     report.add_argument(
         "--list-passes",

@@ -15,8 +15,11 @@ Pipeline (Algorithm 1):
 5. :mod:`repro.core.syncgraph` — synchronization arcs + transitive-closure
    minimization.
 6. :mod:`repro.core.codegen` — per-node generated code (paper Figure 8).
-7. :mod:`repro.core.partitioner` — the ``NdpPartitioner`` facade tying it
-   all together.
+7. :mod:`repro.core.partitioner` — the run's :class:`PartitionConfig` and
+   its :class:`PartitionResult`.
+
+:mod:`repro.pipeline` runs these stages as one fixed pass sequence;
+``compile_program(program, session_for(machine))`` is the entry point.
 """
 
 from repro.core.locator import DataLocator, Location, VariableToNodeMap
@@ -33,7 +36,7 @@ from repro.core.window import (
 )
 from repro.core.syncgraph import SyncGraph
 from repro.core.codegen import GeneratedCode, generate_code
-from repro.core.partitioner import NdpPartitioner, PartitionResult, PartitionConfig
+from repro.core.partitioner import PartitionResult, PartitionConfig
 
 __all__ = [
     "DataLocator",
@@ -57,7 +60,6 @@ __all__ = [
     "SyncGraph",
     "GeneratedCode",
     "generate_code",
-    "NdpPartitioner",
     "PartitionResult",
     "PartitionConfig",
 ]

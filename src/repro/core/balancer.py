@@ -3,9 +3,9 @@
 Subcomputation cost is measured in operations, with division costing 10x an
 addition or multiplication (the paper's footnote 5).  The scheduler assigns
 a subcomputation to a node only if doing so keeps the load balanced:
-if the assignment would push the node more than ``threshold`` (default 10%)
-above the next most-loaded node, the node is skipped and the next candidate
-is considered.
+if the assignment would push the node more than :data:`BALANCE_THRESHOLD`
+(10%) above the next most-loaded node, the node is skipped and the next
+candidate is considered.
 """
 
 from __future__ import annotations
@@ -18,6 +18,10 @@ from repro.obs.tracer import get_tracer
 
 #: Cost of each primitive operator; division is 10x (paper footnote 5).
 OP_COSTS: Dict[str, float] = {"+": 1.0, "-": 1.0, "*": 1.0, "/": 10.0}
+
+#: The paper's 10% rule: a node may not end up more than this fraction
+#: above the next most-loaded node.
+BALANCE_THRESHOLD = 0.10
 
 
 def op_cost(op: str, count: int = 1) -> float:
@@ -34,10 +38,9 @@ class LoadBalancer:
     configuration, where ``imbalance()`` still reports the damage.
     """
 
-    def __init__(self, node_count: int, threshold: float = 0.10, enabled: bool = True):
-        """Track per-node load; ``threshold`` is the paper's 10% rule."""
+    def __init__(self, node_count: int, enabled: bool = True):
+        """Track per-node load over ``node_count`` nodes."""
         self.node_count = node_count
-        self.threshold = threshold
         self.enabled = enabled
         self.load = [0.0] * node_count
         self.skips = 0
@@ -55,9 +58,9 @@ class LoadBalancer:
         """True when assigning ``cost`` to ``node`` breaks the 10% rule.
 
         The rule compares the node's would-be load against the next most
-        highly-loaded node: exceeding it by more than ``threshold`` is a
-        veto.  A chip with no load anywhere never vetoes, and a disabled
-        balancer never vetoes at all.
+        highly-loaded node: exceeding it by more than
+        :data:`BALANCE_THRESHOLD` is a veto.  A chip with no load anywhere
+        never vetoes, and a disabled balancer never vetoes at all.
         """
         if not self.enabled:
             return False
@@ -68,7 +71,7 @@ class LoadBalancer:
             # Nothing scheduled elsewhere yet; compare against the average
             # would-be load to avoid every first assignment being vetoed.
             return False
-        return self.load[node] + cost > (1.0 + self.threshold) * others_max
+        return self.load[node] + cost > (1.0 + BALANCE_THRESHOLD) * others_max
 
     def choose(self, candidates: Sequence[int], cost: float) -> int:
         """First candidate that passes the balance check, else least loaded.

@@ -80,10 +80,8 @@ def generate_code(schedules: Iterable[StatementSchedule]) -> GeneratedCode:
 
 
 def generate_for_partition(partition) -> GeneratedCode:
-    """Listing for a whole :class:`~repro.core.partitioner.PartitionResult`.
-
-    The pipeline's ``codegen`` pass (registered, not in the default order)
-    renders every nest's statement schedules in program order.
+    """Listing for a whole :class:`~repro.core.partitioner.PartitionResult`:
+    every nest's statement schedules, in program order.
     """
     schedules = (
         statement_schedule

@@ -29,8 +29,9 @@ the paper workloads, are documented in DESIGN.md §12.
 
 :class:`AnalyticMissPredictor` is a drop-in for
 :class:`repro.cache.predictor.HitMissPredictor` everywhere the pipeline
-reads predictions (``predict``/``predict_many``/``pure_predict``); it is
-selected with ``--predictor analytic`` (the ``predict_analytic`` pass).
+reads predictions (``predict``/``predict_many``/``pure_predict``); the
+``predict`` pass builds it when ``PartitionConfig.predictor`` is
+``"analytic"`` (``--predictor analytic``).
 The trace predictor stays the default and serves as the differential
 oracle (:func:`repro.check.invariants.check_predictor_agreement`).
 """

@@ -1,25 +1,15 @@
-"""The top-level compiler facade: :class:`NdpPartitioner`.
+"""What one compile is configured with and what it produces.
 
-Glues the whole of Algorithm 1 together for a program:
+:class:`PartitionConfig` holds the knobs of a partitioning run and
+:class:`PartitionResult` the compile-time statistics the paper reports:
+per-statement data movement (Fig 13), degree of subcomputation
+parallelism (Fig 14), synchronizations per statement (Fig 15), and the
+operator mix of the re-mapped computations (Table 3).  The profiling and
+predictor-training steps the passes call live here too.
 
-1. declare the program's arrays on the machine and record an access-count
-   profile (drives flat-MCDRAM placement, Section 6.1's VTune step);
-2. train the L2 hit/miss predictor on a trace of the default execution
-   (Section 4.1 — mispredicted references are located at their MC);
-3. per loop nest, run the adaptive window-size search (Section 4.4) or a
-   caller-fixed window size, producing the nest's subcomputation schedule;
-4. aggregate the compile-time statistics the paper reports: per-statement
-   data movement (Fig 13), degree of subcomputation parallelism (Fig 14),
-   synchronizations per statement (Fig 15), and the operator mix of the
-   re-mapped computations (Table 3).
-
-Since the pass-pipeline refactor the stages live in
-:mod:`repro.pipeline.passes`; this class is the stable facade — it builds
-a :class:`~repro.pipeline.session.CompilationSession` around its machine
-and config and drives :func:`repro.pipeline.compile_program`.  The
-``predictor`` attribute stays caller-replaceable (the ideal-analysis
-oracle swaps one in after construction) and is handed to the pipeline at
-``partition()`` time.
+Algorithm 1 itself runs as the fixed pass sequence of
+:mod:`repro.pipeline` — profile, predict, inspect, split, schedule —
+entered through ``compile_program(program, session_for(machine, config))``.
 """
 
 from __future__ import annotations
@@ -31,6 +21,7 @@ from repro.arch.machine import Machine
 from repro.cache.hierarchy import CacheSystem
 from repro.cache.predictor import HitMissPredictor
 from repro.core.window import NestSchedule, WindowConfig
+from repro.errors import ConfigurationError
 from repro.ir.program import Program
 from repro.utils.stats import mean
 
@@ -43,6 +34,11 @@ PROFILE_INSTANCES = 4000
 #: the L2 hit/miss predictor.
 PREDICTOR_TRAINING_INSTANCES = 4000
 
+#: The L2 miss predictors the ``predict`` pass can build: the two-bit
+#: predictor trained on a default-execution trace (§4.1), or the
+#: closed-form locality model of :mod:`repro.core.locality`.
+PREDICTORS = ("trace", "analytic")
+
 
 @dataclass(frozen=True)
 class PartitionConfig:
@@ -51,10 +47,19 @@ class PartitionConfig:
     window: WindowConfig = WindowConfig()
     adaptive_window: bool = True
     fixed_window_size: int = 1
-    use_predictor: bool = True
+    #: One of :data:`PREDICTORS`, or ``None`` to locate every datum at its
+    #: home bank (no miss prediction).
+    predictor: Optional[str] = "trace"
     #: Skip profiling and the gate, using exactly this statement->split
     #: mapping (window-size sweeps reuse the adaptive run's plan).
     split_plan_override: Optional[Dict] = None
+
+    def __post_init__(self) -> None:
+        if self.predictor is not None and self.predictor not in PREDICTORS:
+            raise ConfigurationError(
+                f"unknown predictor {self.predictor!r}; choose "
+                f"{', '.join(map(repr, PREDICTORS))} or None"
+            )
 
 
 @dataclass
@@ -202,56 +207,3 @@ def train_predictor(
         if seen >= max_instances:
             break
     return predictor.accuracy()
-
-
-class NdpPartitioner:
-    """The compiler: partitions a program into scheduled subcomputations.
-
-    A facade over :mod:`repro.pipeline`: each ``partition()`` call runs
-    the registered pass pipeline under a fresh
-    :class:`~repro.pipeline.session.CompilationSession` built from (or
-    forwarded by) the constructor arguments.
-    """
-
-    def __init__(
-        self,
-        machine: Machine,
-        config: PartitionConfig = PartitionConfig(),
-        session=None,
-    ):
-        """Facade over ``session`` (or a fresh machine/config pair)."""
-        if session is not None:
-            machine = session.machine
-            config = session.config
-        self.machine = machine
-        self.config = config
-        self._session = session
-        self.predictor: Optional[HitMissPredictor] = (
-            HitMissPredictor() if config.use_predictor else None
-        )
-
-    @classmethod
-    def from_session(cls, session) -> "NdpPartitioner":
-        """A partitioner driving ``session``'s machine, config, and pipeline."""
-        return cls(session.machine, session.config, session=session)
-
-    def partition(self, program: Program) -> PartitionResult:
-        """Run the full pipeline on ``program``.
-
-        With tracing enabled (:mod:`repro.obs`), every phase — array
-        profiling, predictor training, split planning, the per-nest gate
-        and window-size search — emits structured span/point events;
-        tracing never changes the produced schedule.
-        """
-        from repro.pipeline import compile_program
-        from repro.pipeline.session import CompilationSession
-
-        session = self._session
-        if session is None:
-            session = CompilationSession(machine=self.machine, config=self.config)
-        # The predictor is read at call time, not construction time: the
-        # ideal-analysis baseline (and tests) replace ``self.predictor``
-        # after __init__ and expect the swap to take effect.
-        return compile_program(
-            program, session, initial={"predictor": self.predictor}
-        )

@@ -69,7 +69,6 @@ class WindowConfig:
 
     reuse_aware: bool = True
     l1_model_blocks: int = 64
-    balance_threshold: float = 0.10
     flatten_products: bool = False
     #: Force MST splitting even when the unsplit gather-at-store execution
     #: moves less data (ablation knob; the production path picks the better
@@ -190,7 +189,7 @@ class WindowScheduler:
         self._session = session
         balance_enabled = session is None or session.pass_enabled("balance")
         self.balancer = balancer or LoadBalancer(
-            machine.node_count, config.balance_threshold, enabled=balance_enabled
+            machine.node_count, enabled=balance_enabled
         )
         # Vectorized fast path and the one split memo: per-nest location
         # tables + signature-deduped split templates (repro.core.vectorized),

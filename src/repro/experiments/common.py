@@ -24,7 +24,7 @@ from repro.arch.cluster_modes import ClusterMode
 from repro.arch.machine import Machine, MachineConfig
 from repro.arch.memory_modes import MemoryMode
 from repro.baselines.default_placement import DefaultPlacement, PlacementResult
-from repro.core.partitioner import NdpPartitioner, PartitionConfig, PartitionResult
+from repro.core.partitioner import PartitionConfig, PartitionResult
 from repro.faults import FaultPlan
 from repro.sim.engine import SimConfig, Simulator
 from repro.sim.metrics import SimMetrics
@@ -300,30 +300,21 @@ def run_optimized(
     partition_config: Optional[PartitionConfig] = None,
     sim_config: SimConfig = SimConfig(),
     faults: Optional[FaultPlan] = None,
-    predictor: str = "trace",
 ) -> Tuple[PartitionResult, SimMetrics, Machine]:
     """NDP-partitioned ``app``, simulated; returns partition + metrics.
 
     Builds one :class:`~repro.pipeline.session.CompilationSession` per run
-    (which owns fault application) and compiles through the pass pipeline
-    via the :class:`NdpPartitioner` facade.  ``predictor`` selects the
-    miss-prediction pass: ``"trace"`` (the default trace-trained
-    predictor) or ``"analytic"`` (the closed-form locality model,
-    DESIGN.md §12).
+    (which owns fault application) and compiles through the pass pipeline.
     """
-    from repro.pipeline import session_for
-    from repro.pipeline.passes import predictor_pass_order
+    from repro.pipeline import compile_program, session_for
 
     session = session_for(
         paper_machine(cluster_mode, memory_mode),
-        config=partition_config or PartitionConfig(),
+        config=partition_config,
         faults=faults,
-        pass_order=predictor_pass_order(predictor),
     )
     machine = session.machine
-    program = build_workload(app, scale, seed)
-    partitioner = NdpPartitioner.from_session(session)
-    partition = partitioner.partition(program)
+    partition = compile_program(build_workload(app, scale, seed), session)
     metrics = Simulator(machine, sim_config).run(partition.units())
     return partition, metrics, machine
 
@@ -339,7 +330,9 @@ def compare_app(
 ) -> AppComparison:
     """Default-vs-optimized comparison for one app (memoized).
 
-    A non-empty ``faults`` plan degrades both machines before placement;
+    ``predictor`` is the optimized compile's ``PartitionConfig.predictor``
+    (``"trace"`` or ``"analytic"``, DESIGN.md §12).  A non-empty
+    ``faults`` plan degrades both machines before placement;
     the memoization key includes the plan's fingerprint (and the chosen
     predictor), so healthy/degraded and trace/analytic comparisons of the
     same app never collide.
@@ -355,8 +348,8 @@ def compare_app(
         app, scale, seed, cluster_mode, memory_mode, faults=faults
     )
     partition, optimized_metrics, _ = run_optimized(
-        app, scale, seed, cluster_mode, memory_mode, faults=faults,
-        predictor=predictor,
+        app, scale, seed, cluster_mode, memory_mode,
+        partition_config=PartitionConfig(predictor=predictor), faults=faults,
     )
     comparison = AppComparison(
         app=app,

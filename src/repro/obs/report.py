@@ -30,12 +30,14 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.arch.machine import Machine
 from repro.baselines.default_placement import DefaultPlacement
-from repro.core.partitioner import NdpPartitioner, PartitionConfig, PartitionResult
+from repro.core.partitioner import PartitionConfig, PartitionResult
 from repro.faults import FaultPlan
 from repro.ir.program import Program
 from repro.noc.network import LinkStats
 from repro.obs.schema import REPORT_KIND, REPORT_SCHEMA_VERSION, assert_valid
 from repro.obs.tracer import Tracer, tracing
+from repro.pipeline import compile_program, session_for
+from repro.pipeline.passes import skip_set
 from repro.sim.engine import SimConfig, Simulator
 from repro.sim.metrics import SimMetrics
 
@@ -130,7 +132,6 @@ def build_report(
     partition_config: Optional[PartitionConfig] = None,
     faults: Optional[FaultPlan] = None,
     skip_passes: Tuple[str, ...] = (),
-    pass_order: Optional[Tuple[str, ...]] = None,
 ) -> Dict:
     """Run ``app`` end to end and return its schema-valid report dict.
 
@@ -144,28 +145,30 @@ def build_report(
             totals: ``phase.<name>`` spans give ``phase_seconds``, and the
             pass manager's ``pass.<name>`` spans ``pipeline.pass_seconds``.
         debug_trace: also emit per-instance firehose events (large files).
-        partition_config: override the default :class:`PartitionConfig`.
+        partition_config: override the default :class:`PartitionConfig`
+            (its ``predictor`` is what ``--predictor`` sets).
         faults: a :class:`~repro.faults.FaultPlan` to apply to every
             machine before placement/partitioning.  A non-empty plan adds
             an extra *healthy* optimized run (phase ``simulate_healthy``)
             and fills the report's ``faults`` section with the plan and
             the degraded-vs-healthy overheads; an empty (or absent) plan
             leaves the pipeline untouched and ``faults`` null.
-        skip_passes / pass_order: the pipeline shape (``--skip-pass`` /
-            pass reordering); unknown names raise
+        skip_passes: passes to leave out (``--skip-pass``); an unknown
+            name or ``schedule`` raises
             :class:`~repro.errors.ConfigurationError` before any work.
-            The shape, per-pass wall times, and session identity land in
-            the report's ``pipeline`` section (schema v3).
+            The skip set, per-pass wall times, and session identity land
+            in the report's ``pipeline`` section (schema v3).
 
     The returned dict is validated against :mod:`repro.obs.schema` before
     being returned, so downstream consumers never see a malformed report.
     """
+    skip_set(skip_passes)  # a bad skip name fails here, before any work
     if faults is not None and faults.is_empty:
         faults = None
     with tracing(trace_file, debug=debug_trace) as tracer:
         return _build(
             app, scale, seed, tracer, trace_file, partition_config, faults,
-            skip_passes, pass_order,
+            skip_passes,
         )
 
 
@@ -178,10 +181,7 @@ def _build(
     partition_config: Optional[PartitionConfig],
     faults: Optional[FaultPlan],
     skip_passes: Tuple[str, ...] = (),
-    pass_order: Optional[Tuple[str, ...]] = None,
 ) -> Dict:
-    from repro.pipeline.session import session_for
-
     machine_factory, program_factory = _factories(app, scale, seed)
 
     with tracer.span("phase.build"):
@@ -200,7 +200,6 @@ def _build(
             config=partition_config or PartitionConfig(),
             faults=plan,
             skip_passes=skip_passes,
-            pass_order=pass_order,
         )
 
     # Default placement: its own machine, as in the experiment harness.
@@ -214,9 +213,8 @@ def _build(
 
     session = make_session(make_machine(apply_plan=False), faults)
     optimized_machine = session.machine
-    partitioner = NdpPartitioner.from_session(session)
     with tracer.span("phase.partition"):
-        partition = partitioner.partition(program)
+        partition = compile_program(program, session)
     with tracer.span("phase.simulate_optimized"):
         optimized_metrics = Simulator(optimized_machine, SimConfig()).run(
             partition.units()
@@ -230,9 +228,7 @@ def _build(
         # unfaulted machine, so the overhead numbers isolate the plan.
         with tracer.span("phase.simulate_healthy"):
             healthy_session = make_session(make_machine(apply_plan=False), None)
-            healthy_partition = NdpPartitioner.from_session(
-                healthy_session
-            ).partition(program)
+            healthy_partition = compile_program(program, healthy_session)
             healthy_metrics = Simulator(
                 healthy_session.machine, SimConfig()
             ).run(healthy_partition.units())

@@ -53,7 +53,7 @@ Schema (version 5)::
         "machine": { ...CompilationSession.to_json()["machine"]... },
         "config":  { ...headline PartitionConfig/WindowConfig knobs... },
         "faults_fingerprint": null,    # or the plan's fingerprint string
-        "check": false
+        "check": false                 # true when built in check mode
       },
       "trace_file": "/tmp/t.jsonl",    # or null
       "faults": null                   # healthy run; object on degraded runs:

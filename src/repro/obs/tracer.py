@@ -38,12 +38,14 @@ Usage::
     from repro.obs import tracing
 
     with tracing("/tmp/run.jsonl"):
-        NdpPartitioner(machine).partition(program)
+        compile_program(program, session_for(machine))
 
 or install a tracer explicitly with :func:`set_tracer` / restore with the
 value it returns.  Per-instance firehose events (every statement split,
 every load-balancer veto, every window's sync minimization) are
-additionally gated behind ``debug=True``.
+additionally gated behind ``debug=True``.  The span or point name is a
+positional-only argument, so any payload key — ``name`` included — is
+recorded as data.
 """
 
 from __future__ import annotations
@@ -86,13 +88,13 @@ class NullTracer:
     enabled: bool = False
     debug: bool = False
 
-    def span(self, name: str, **payload) -> _NullSpan:
+    def span(self, name: str, /, **payload) -> _NullSpan:
         """Return a no-op context manager."""
         return _NULL_SPAN
 
     debug_span = span
 
-    def point(self, name: str, **payload) -> None:
+    def point(self, name: str, /, **payload) -> None:
         """Drop the event."""
 
     def close(self) -> None:
@@ -203,15 +205,15 @@ class Tracer:
             self._seq += 1
             self._sink.write(json.dumps(event, sort_keys=True) + "\n")
 
-    def span(self, name: str, **payload) -> _Span:
+    def span(self, name: str, /, **payload) -> _Span:
         """Open a span; use as a context manager."""
         return _Span(self, name, payload, self.enabled)
 
-    def debug_span(self, name: str, **payload) -> _Span:
+    def debug_span(self, name: str, /, **payload) -> _Span:
         """A span written only to a debug trace; it always counts in totals."""
         return _Span(self, name, payload, self.debug)
 
-    def point(self, name: str, **payload) -> None:
+    def point(self, name: str, /, **payload) -> None:
         """Emit a single instantaneous event."""
         if self.enabled:
             self._emit("P", name, payload)
@@ -262,7 +264,7 @@ class tracing:
     ``None`` for a sink-less tracer that only sums span durations::
 
         with tracing("/tmp/compile.jsonl", debug=False) as tracer:
-            NdpPartitioner(machine).partition(program)
+            compile_program(program, session_for(machine))
     """
 
     def __init__(

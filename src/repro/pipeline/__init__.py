@@ -2,11 +2,11 @@
 
 The package turns the paper's §4 sequence into explicit, registered,
 independently traced passes over a single :class:`CompilationSession`
-context:
+context.  The sequence is fixed: every compile runs the registered
+passes in registry order, minus the ones its session skips.
 
 * :mod:`repro.pipeline.session` — :class:`CompilationSession` (machine,
-  config, faults, check mode, pipeline shape, caches) and
-  :func:`session_for`;
+  config, faults, skipped passes, caches) and :func:`session_for`;
 * :mod:`repro.pipeline.passes` — the :data:`PASS_REGISTRY` of named
   passes and :data:`DEFAULT_PASS_ORDER`;
 * :mod:`repro.pipeline.manager` — the :class:`PassManager` driver, which
@@ -15,9 +15,10 @@ context:
   :func:`run_pool` and the persistent :class:`WorkerPool` the compile
   service (:mod:`repro.serve`) shards requests across.
 
-:func:`compile_program` is the one-call front-end: session in, partition
-out, bit-identical to the pre-pipeline ``NdpPartitioner.partition`` under
-the default order.
+:func:`compile_program` is the one entry point: program and session in,
+partition out::
+
+    partition = compile_program(program, session_for(machine, config))
 """
 
 from __future__ import annotations
@@ -29,14 +30,12 @@ from repro.pipeline.manager import PassManager
 from repro.pipeline.passes import (
     DEFAULT_PASS_ORDER,
     PASS_REGISTRY,
-    Artifacts,
     Pass,
     PassInfo,
 )
 from repro.pipeline.session import CompilationSession, SessionCaches, session_for
 
 __all__ = [
-    "Artifacts",
     "CompilationSession",
     "DEFAULT_PASS_ORDER",
     "PASS_REGISTRY",
@@ -55,10 +54,9 @@ __all__ = [
 def compile_program(program: Program, session, initial=None) -> PartitionResult:
     """Compile ``program`` under ``session``; returns the partition.
 
-    Runs the session's pass order through a :class:`PassManager` inside
-    the session's check scope.  ``initial`` seeds artifacts (the
-    partitioner facade injects its predictor through it).
+    Runs the pass order through a :class:`PassManager`.  ``initial`` seeds
+    artifacts before the first pass: a ``predictor`` given there is used
+    (and trained) in place of the one ``session.config`` names — how the
+    ideal-analysis oracle gets in.
     """
-    with session.checking():
-        artifacts = PassManager(session).run(program, initial=initial)
-    return artifacts.require("partition", "compile_program")
+    return PassManager(session).run(program, initial=initial)["partition"]

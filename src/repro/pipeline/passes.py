@@ -1,36 +1,37 @@
 """The registered compiler passes (the paper's §4 flow, made explicit).
 
 Every stage of the compile flow is a named :class:`Pass` in
-:data:`PASS_REGISTRY`.  The default order reproduces the historical
-``NdpPartitioner.partition`` behaviour bit-for-bit; the win is that the
-stages are now independently timeable, skippable
-(``repro.cli report --skip-pass balance``), reorderable, and extensible
-without touching the core modules.
+:data:`PASS_REGISTRY`, and every compile runs all of them in registry
+order, the one pass order.  Each pass is timed in its own span
+and may be skipped (``repro.cli report --skip-pass balance``), except
+``schedule``, which produces the partition.
 
-========  ==============  ==========================  =====================
-pass      paper section   what it does                module
-========  ==============  ==========================  =====================
-profile   §6.1            array access profiling      core.profiling
-predict   §4.1            L2 hit/miss predictor       cache.predictor
-inspect   §4.5            inspector for irregular     ir.inspector
-split     §4.2            MST split planning          core.profiling
-schedule  §4.3–4.4        gate + window scheduling    core.window
-balance   §4.5 (inline)   load balancing (10% rule)   core.balancer
-sync      §4.5 (inline)   sync minimization           core.syncgraph
-codegen   §4.5, Fig 8     per-node code (on demand)   core.codegen
-========  ==============  ==========================  =====================
+=============  =============  ==========================  ==================
+pass           paper section  what it does                module
+=============  =============  ==========================  ==================
+profile        §6.1           array access profiling      core.profiling
+predict        §4.1           L2 hit/miss predictor       cache.predictor
+inspect        §4.5           inspector for irregular     ir.inspector
+split          §4.2           MST split planning          core.profiling
+schedule       §4.3–4.4       gate + window scheduling    core.window
+balance        §4.5 (inline)  load balancing (10% rule)   core.balancer
+sync_minimize  §4.5 (inline)  sync minimization           core.syncgraph
+=============  =============  ==========================  ==================
 
-``balance`` and ``sync_minimize`` are *inline* passes: their work happens
-inside the window scheduler's hot loop, so their ``run`` methods are
-no-ops and skipping them flips a flag the scheduler consults
-(:meth:`CompilationSession.pass_enabled`).  ``codegen`` is registered but
-not part of the default order — rendering per-node listings for every
-unit is paid only when asked for.
+``predict`` builds the predictor ``PartitionConfig.predictor`` names: the
+trace-trained two-bit predictor, the closed-form locality model
+(:mod:`repro.core.locality`), or none.  ``balance`` and ``sync_minimize``
+are *inline* passes: their work happens inside the window scheduler's hot
+loop, so their ``run`` methods are no-ops and skipping them flips a flag
+the scheduler consults (:meth:`CompilationSession.pass_enabled`).
 
-Artifacts flow between passes in an :class:`Artifacts` dict; a pass that
-needs an upstream product uses :meth:`Artifacts.require`, which raises a
-clear :class:`~repro.errors.ConfigurationError` naming the producing pass
-when the order was rearranged incompatibly.
+Passes share one artifact dict: ``program`` (set by the manager, with any
+caller-seeded entries such as a ``predictor``), ``predictor`` and
+``predictor_accuracy`` (predict), ``fallback_nodes``/``profiles``/
+``split_plan`` (split), and ``partition`` (schedule).  ``profile`` and
+``inspect`` write no artifact: they record the profile on the machine and
+resolve irregular nests in place.  A skipped pass leaves its keys unset,
+and its consumers fall back.
 """
 
 from __future__ import annotations
@@ -38,9 +39,10 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Tuple
 
 from repro import check
+from repro.cache.predictor import HitMissPredictor
 from repro.check import invariants
 from repro.core.locator import DataLocator
 from repro.core.partitioner import (
@@ -63,52 +65,6 @@ from repro.ir.inspector import InspectorExecutor
 from repro.ir.program import Program
 
 
-class Artifacts(dict):
-    """The typed artifact dict flowing between passes.
-
-    Keys and producers:
-
-    ==================  ==========  =====================================
-    key                 producer    type
-    ==================  ==========  =====================================
-    program             (manager)   ir.program.Program
-    access_counts       profile     {array: dynamic access count}
-    predictor           predict     HitMissPredictor-compatible or None
-    predictor_accuracy  predict     float or None
-    inspected           inspect     bool (irregular nests resolved?)
-    fallback_nodes      split       {seq: default execution node}
-    profiles            split       {(nest, body): StatementProfile}
-    split_plan          split       {(nest, body): split?}
-    partition           schedule    core.partitioner.PartitionResult
-    generated_code      codegen     core.codegen.GeneratedCode
-    ==================  ==========  =====================================
-    """
-
-    def require(self, key: str, needed_by: str):
-        """The artifact under ``key``, or a clear wrong-order error."""
-        if key not in self:
-            producer = _PRODUCERS.get(key, "<unknown>")
-            raise ConfigurationError(
-                f"pass {needed_by!r} needs artifact {key!r}, which pass "
-                f"{producer!r} produces — it is missing from this run "
-                "(skipped or ordered after the consumer)"
-            )
-        return self[key]
-
-
-_PRODUCERS = {
-    "access_counts": "profile",
-    "predictor": "predict",
-    "predictor_accuracy": "predict",
-    "inspected": "inspect",
-    "fallback_nodes": "split",
-    "profiles": "split",
-    "split_plan": "split",
-    "partition": "schedule",
-    "generated_code": "codegen",
-}
-
-
 @dataclass(frozen=True)
 class PassInfo:
     """Registry metadata of one pass (what ``--list-passes`` shows)."""
@@ -116,12 +72,9 @@ class PassInfo:
     name: str
     paper_section: str
     module: str
-    #: Inline passes run inside the schedule pass's hot loop; their
-    #: position in the order is informational and skipping them flips a
-    #: scheduler flag instead of dropping a ``run`` call.
+    #: Inline passes run inside the schedule pass's hot loop; skipping
+    #: them flips a scheduler flag instead of dropping a ``run`` call.
     inline: bool = False
-    #: Whether the pass is part of the default order.
-    default: bool = True
 
 
 class Pass:
@@ -129,7 +82,7 @@ class Pass:
 
     info: PassInfo
 
-    def run(self, session, artifacts: Artifacts) -> None:
+    def run(self, session, artifacts: Dict) -> None:
         raise NotImplementedError
 
 
@@ -143,19 +96,25 @@ def register_pass(cls):
     return cls
 
 
-def resolve_order(order: Optional[Tuple[str, ...]]) -> Tuple[str, ...]:
-    """``order`` validated against the registry (None = default order)."""
-    if order is None:
-        return DEFAULT_PASS_ORDER
-    unknown = sorted(set(order) - set(PASS_REGISTRY))
+def skip_set(names: Iterable[str]) -> FrozenSet[str]:
+    """``names`` as a set of passes to skip, validated.
+
+    Raises :class:`~repro.errors.ConfigurationError` for a name that is
+    not a registered pass, and for ``schedule``: its partition is the
+    compile's output.
+    """
+    skip = frozenset(names)
+    unknown = sorted(skip - set(PASS_REGISTRY))
     if unknown:
-        known = ", ".join(sorted(PASS_REGISTRY))
         raise ConfigurationError(
-            f"unknown pass name(s): {', '.join(unknown)}; registered passes: {known}"
+            f"unknown pass name(s) in skip_passes: {', '.join(unknown)}; "
+            f"registered passes: {', '.join(sorted(PASS_REGISTRY))}"
         )
-    if len(set(order)) != len(order):
-        raise ConfigurationError(f"pass order lists a pass twice: {order}")
-    return tuple(order)
+    if "schedule" in skip:
+        raise ConfigurationError(
+            "pass 'schedule' cannot be skipped: it produces the partition"
+        )
+    return skip
 
 
 @register_pass
@@ -164,34 +123,42 @@ class ProfilePass(Pass):
 
     info = PassInfo("profile", "§6.1", "repro.core.profiling")
 
-    def run(self, session, artifacts: Artifacts) -> None:
-        program: Program = artifacts.require("program", self.info.name)
+    def run(self, session, artifacts: Dict) -> None:
+        program: Program = artifacts["program"]
         program.declare_in(session)
-        tracer = session.tracer
-        with tracer.span("compile.profile_arrays"):
-            counts = profile_access_counts(program)
-            session.machine.record_profile(counts)
-        artifacts["access_counts"] = counts
+        with session.tracer.span("compile.profile_arrays"):
+            session.machine.record_profile(profile_access_counts(program))
 
 
 @register_pass
 class PredictPass(Pass):
-    """§4.1's miss prediction: train the L2 hit/miss predictor."""
+    """§4.1's miss prediction: the predictor ``config.predictor`` names.
+
+    ``"trace"`` trains the two-bit predictor on a default-execution trace
+    and records its accuracy; ``"analytic"`` builds the closed-form
+    :class:`repro.core.locality.AnalyticMissPredictor` (DESIGN.md §12),
+    which is not trained, so its accuracy is ``None``; ``None`` builds no
+    predictor, so every datum is located at its home bank.  A
+    ``predictor`` seeded through ``compile_program(..., initial=...)``
+    (the ideal-analysis oracle) is used and trained whatever the config
+    says.
+
+    In check mode the analytic model is also compared against a trained
+    trace predictor over the training address stream
+    (:func:`repro.check.invariants.check_predictor_agreement`).
+    """
 
     info = PassInfo("predict", "§4.1", "repro.cache.predictor")
 
-    def run(self, session, artifacts: Artifacts) -> None:
-        program: Program = artifacts.require("program", self.info.name)
+    def run(self, session, artifacts: Dict) -> None:
+        program: Program = artifacts["program"]
         if "predictor" not in artifacts:
-            # Session-first API: build the predictor the config asks for.
-            # (The NdpPartitioner facade seeds this artifact instead, so
-            # post-construction predictor injection — the ideal-analysis
-            # oracle — keeps working.)
-            from repro.cache.predictor import HitMissPredictor
-
-            artifacts["predictor"] = (
-                HitMissPredictor() if session.config.use_predictor else None
-            )
+            kind = session.config.predictor
+            if kind == "analytic":
+                artifacts["predictor"] = self._analytic(session, program)
+                artifacts["predictor_accuracy"] = None
+                return
+            artifacts["predictor"] = HitMissPredictor() if kind else None
         predictor = artifacts["predictor"]
         accuracy = None
         if predictor is not None:
@@ -201,40 +168,14 @@ class PredictPass(Pass):
                 train_span.add(accuracy=round(accuracy, 6))
         artifacts["predictor_accuracy"] = accuracy
 
-
-@register_pass
-class AnalyticPredictPass(Pass):
-    """§4.1 alternative: closed-form analytic miss prediction.
-
-    Replaces the trace-trained predictor with
-    :class:`repro.core.locality.AnalyticMissPredictor` (DESIGN.md §12):
-    same artifact keys, no cache simulation.  Not in the default order —
-    select it with ``--predictor analytic`` (which swaps it in for
-    ``predict``) or an explicit pass order.  Unlike ``predict``, a seeded
-    ``predictor`` artifact is *overwritten*: asking for the analytic pass
-    means the analytic model, not whatever the facade constructed.
-
-    In check mode the pass also trains the default trace predictor and
-    runs the differential oracle
-    (:func:`repro.check.invariants.check_predictor_agreement`) over the
-    training address stream.
-    """
-
-    info = PassInfo(
-        "predict_analytic", "§4.1", "repro.core.locality", default=False
-    )
-
-    def run(self, session, artifacts: Artifacts) -> None:
-        program: Program = artifacts.require("program", self.info.name)
-        if not session.config.use_predictor:
-            artifacts["predictor"] = None
-            artifacts["predictor_accuracy"] = None
-            return
+    @staticmethod
+    def _analytic(session, program: Program):
+        """The closed-form model (plus its differential oracle when checking)."""
         from repro.core.locality import AnalyticMissPredictor
 
-        tracer = session.tracer
-        with tracer.span("compile.analytic_predict") as span:
-            predictor = AnalyticMissPredictor(session.machine, program)
+        machine = session.machine
+        with session.tracer.span("compile.analytic_predict") as span:
+            predictor = AnalyticMissPredictor(machine, program)
             model = predictor.model
             span.add(
                 regions=len(model.region_verdicts),
@@ -242,49 +183,18 @@ class AnalyticPredictPass(Pass):
                 modeled_hit_fraction=round(model.modeled_hit_fraction(), 6),
                 skipped_nests=len(model.skipped_nests),
             )
-        artifacts["predictor"] = predictor
-        # The trace pass reports its training accuracy here; the analytic
-        # model is not trained, so it reports its modeled hit fraction.
-        artifacts["predictor_accuracy"] = None
         if check.enabled():
-            self._differential_oracle(session, program, predictor)
-
-    @staticmethod
-    def _differential_oracle(session, program, predictor) -> None:
-        """Train the trace oracle and bound the verdict disagreement."""
-        from repro.cache.predictor import HitMissPredictor
-        from repro.core.partitioner import train_predictor
-
-        machine = session.machine
-        trace = HitMissPredictor()
-        train_predictor(machine, program, trace)
-        addresses = []
-        layout = machine.layout
-        for seen, instance in enumerate(program.instances()):
-            if seen >= PREDICTOR_TRAINING_INSTANCES or len(addresses) >= 2000:
-                break
-            for access in instance.accesses():
-                addresses.append(layout.pa_of(access.array, access.index))
-        invariants.check_predictor_agreement(predictor, trace, addresses)
-
-
-def predictor_pass_order(predictor: str) -> Optional[Tuple[str, ...]]:
-    """The pass order selecting ``predictor`` ('trace' or 'analytic').
-
-    'trace' (the default pipeline) returns ``None`` — callers pass it
-    straight through as "use the default order"; 'analytic' returns the
-    default order with ``predict`` swapped for ``predict_analytic``.
-    """
-    if predictor == "trace":
-        return None
-    if predictor == "analytic":
-        return tuple(
-            "predict_analytic" if name == "predict" else name
-            for name in DEFAULT_PASS_ORDER
-        )
-    raise ConfigurationError(
-        f"unknown predictor {predictor!r}; choose 'trace' or 'analytic'"
-    )
+            trace = HitMissPredictor()
+            train_predictor(machine, program, trace)
+            addresses = []
+            layout = machine.layout
+            for seen, instance in enumerate(program.instances()):
+                if seen >= PREDICTOR_TRAINING_INSTANCES or len(addresses) >= 2000:
+                    break
+                for access in instance.accesses():
+                    addresses.append(layout.pa_of(access.array, access.index))
+            invariants.check_predictor_agreement(predictor, trace, addresses)
+        return predictor
 
 
 @register_pass
@@ -293,14 +203,11 @@ class InspectPass(Pass):
 
     info = PassInfo("inspect", "§4.5", "repro.ir.inspector")
 
-    def run(self, session, artifacts: Artifacts) -> None:
-        program: Program = artifacts.require("program", self.info.name)
-        inspected = False
+    def run(self, session, artifacts: Dict) -> None:
+        program: Program = artifacts["program"]
         if may_depend(program):
             with session.tracer.span("compile.inspect"):
                 InspectorExecutor(program).inspect_all()
-            inspected = True
-        artifacts["inspected"] = inspected
 
 
 @register_pass
@@ -309,8 +216,8 @@ class SplitPass(Pass):
 
     info = PassInfo("split", "§4.2", "repro.core.profiling")
 
-    def run(self, session, artifacts: Artifacts) -> None:
-        program: Program = artifacts.require("program", self.info.name)
+    def run(self, session, artifacts: Dict) -> None:
+        program: Program = artifacts["program"]
         machine = session.machine
         config = session.config
         predictor = artifacts.get("predictor")
@@ -368,8 +275,8 @@ class SchedulePass(Pass):
 
     info = PassInfo("schedule", "§4.3–4.4", "repro.core.window")
 
-    def run(self, session, artifacts: Artifacts) -> None:
-        program: Program = artifacts.require("program", self.info.name)
+    def run(self, session, artifacts: Dict) -> None:
+        program: Program = artifacts["program"]
         machine = session.machine
         config = session.config
         tracer = session.tracer
@@ -612,7 +519,7 @@ class BalancePass(Pass):
 
     info = PassInfo("balance", "§4.5", "repro.core.balancer", inline=True)
 
-    def run(self, session, artifacts: Artifacts) -> None:
+    def run(self, session, artifacts: Dict) -> None:
         """No-op: the work happens inside the schedule pass's hot loop."""
 
 
@@ -628,28 +535,12 @@ class SyncMinimizePass(Pass):
 
     info = PassInfo("sync_minimize", "§4.5", "repro.core.syncgraph", inline=True)
 
-    def run(self, session, artifacts: Artifacts) -> None:
+    def run(self, session, artifacts: Dict) -> None:
         """No-op: the work happens per window in the schedule pass."""
 
 
-@register_pass
-class CodegenPass(Pass):
-    """§4.5 / Figure 8: per-node code generation (on demand)."""
-
-    info = PassInfo(
-        "codegen", "§4.5, Fig 8", "repro.core.codegen", default=False
-    )
-
-    def run(self, session, artifacts: Artifacts) -> None:
-        from repro.core.codegen import generate_for_partition
-
-        partition = artifacts.require("partition", self.info.name)
-        artifacts["generated_code"] = generate_for_partition(partition)
-
-
-#: The registry's default order: every non-inline default pass in the
-#: paper's sequence, with the inline passes listed where the paper puts
-#: their work (after windowing).
-DEFAULT_PASS_ORDER: Tuple[str, ...] = tuple(
-    p.info.name for p in PASS_REGISTRY.values() if p.info.default
-)
+#: The registry's names as a tuple: the one pass order, the paper's
+#: sequence with the inline passes listed where the paper puts their work
+#: (after windowing).  Code walks :data:`PASS_REGISTRY` itself; this is a
+#: re-export for callers that want the order without the pass objects.
+DEFAULT_PASS_ORDER: Tuple[str, ...] = tuple(PASS_REGISTRY)

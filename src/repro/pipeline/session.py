@@ -2,35 +2,36 @@
 
 Before this layer existed, every cross-cutting concern — the machine and
 its data layout, the window configuration, an optional fault plan, the
-tracer, check mode, and the per-nest split templates — was threaded through
-the partitioner, window search, scheduler, balancer, and codegen as loose
-keyword arguments.  The session bundles all of it:
+tracer, and the per-nest split templates — was threaded through the
+partitioner, window search, scheduler, and balancer as loose keyword
+arguments.  The session bundles all of it:
 
 * **construction state** — machine (and through it the layout), the
-  :class:`~repro.core.partitioner.PartitionConfig`, an optional
-  :class:`~repro.faults.FaultPlan`, and the check-mode flag;
-* **pipeline shape** — the pass order and the set of skipped passes
-  (see :mod:`repro.pipeline.passes` for the registry);
+  :class:`~repro.core.partitioner.PartitionConfig` (which also names the
+  predictor), and an optional :class:`~repro.faults.FaultPlan`;
+* **skipped passes** — the passes of the fixed order
+  (:mod:`repro.pipeline.passes`) this compile leaves out;
 * **run state** — the cross-pass caches (the per-nest location tables
   and statement-split templates shared by every candidate plan's
   scheduling and window-size search).
 
 One session corresponds to one compile context.  It keeps no wall times:
 the :class:`~repro.pipeline.manager.PassManager` runs each pass in a
-tracer span, and the tracer sums them (:mod:`repro.obs.tracer`).
+tracer span, and the tracer sums them (:mod:`repro.obs.tracer`).  Check
+mode is process-wide (:mod:`repro.check`), not a session setting.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Dict, FrozenSet, Optional
 
+from repro import check
 from repro.arch.machine import Machine
 from repro.core.partitioner import PartitionConfig
-from repro.errors import ConfigurationError
 from repro.faults import FaultPlan
 from repro.obs.tracer import get_tracer
+from repro.pipeline.passes import PASS_REGISTRY, skip_set
 
 
 class SessionCaches:
@@ -67,11 +68,7 @@ class CompilationSession:
     machine: Machine
     config: PartitionConfig = field(default_factory=PartitionConfig)
     faults: Optional[FaultPlan] = None
-    check: bool = False
-    #: Pass names to execute, in order.  ``None`` means the registry's
-    #: default order (:data:`repro.pipeline.passes.DEFAULT_PASS_ORDER`).
-    pass_order: Optional[Tuple[str, ...]] = None
-    #: Pass names to skip (validated against the order at run time).
+    #: Pass names to skip (:func:`session_for` validates them).
     skip_passes: FrozenSet[str] = frozenset()
     caches: SessionCaches = field(default_factory=SessionCaches)
     _faults_applied: bool = field(default=False, repr=False)
@@ -106,25 +103,16 @@ class CompilationSession:
         self.machine.apply_faults(self.faults)
         self._faults_applied = True
 
-    @contextmanager
-    def checking(self):
-        """Scoped check mode: active when the session (or env) asks for it."""
-        from repro import check
-
-        with check.checking(self.check or check.enabled()):
-            yield
-
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> Dict:
         """The session's identity for ``report.json`` (schema v3).
 
         Captures what shaped the compile — machine geometry, the headline
-        partitioning knobs, fault fingerprint, check mode, and the pipeline
-        shape — without the bulky runtime state (caches, schedules).
+        partitioning knobs, fault fingerprint, whether check mode is on
+        now, and the pipeline shape — without the bulky runtime state
+        (caches, schedules).
         """
-        from repro.pipeline.passes import resolve_order
-
         config = self.machine.config
         return {
             "machine": {
@@ -138,7 +126,7 @@ class CompilationSession:
             "config": {
                 "adaptive_window": self.config.adaptive_window,
                 "fixed_window_size": self.config.fixed_window_size,
-                "use_predictor": self.config.use_predictor,
+                "predictor": self.config.predictor,
                 "reuse_aware": self.config.window.reuse_aware,
             },
             "faults_fingerprint": (
@@ -146,8 +134,8 @@ class CompilationSession:
                 if self.faults is None or self.faults.is_empty
                 else self.faults.fingerprint()
             ),
-            "check": bool(self.check),
-            "pass_order": list(resolve_order(self.pass_order)),
+            "check": check.enabled(),
+            "pass_order": list(PASS_REGISTRY),
             "skipped_passes": sorted(self.skip_passes),
         }
 
@@ -156,33 +144,19 @@ def session_for(
     machine: Machine,
     config: Optional[PartitionConfig] = None,
     faults: Optional[FaultPlan] = None,
-    check: bool = False,
     skip_passes=(),
-    pass_order: Optional[Tuple[str, ...]] = None,
 ) -> CompilationSession:
-    """Build a session, validating the pipeline shape eagerly.
+    """Build a session, validating the skip set eagerly.
 
-    Unknown pass names (in ``skip_passes`` or ``pass_order``) raise
-    :class:`~repro.errors.ConfigurationError` here, at construction, so CLI
+    An unknown pass name or ``schedule`` in ``skip_passes`` raises
+    :class:`~repro.errors.ConfigurationError` here, at construction, so
     front-ends can exit 2 with a clear message before any work happens.
     """
-    from repro.pipeline.passes import PASS_REGISTRY, resolve_order
-
-    skip = frozenset(skip_passes)
-    unknown = sorted(name for name in skip if name not in PASS_REGISTRY)
-    if unknown:
-        known = ", ".join(sorted(PASS_REGISTRY))
-        raise ConfigurationError(
-            f"unknown pass name(s): {', '.join(unknown)}; registered passes: {known}"
-        )
-    resolve_order(pass_order)  # raises ConfigurationError on unknown names
     session = CompilationSession(
         machine=machine,
         config=config or PartitionConfig(),
         faults=None if faults is not None and faults.is_empty else faults,
-        check=check,
-        pass_order=pass_order,
-        skip_passes=skip,
+        skip_passes=skip_set(skip_passes),
     )
     session.apply_faults()
     return session

@@ -29,6 +29,7 @@ import time
 from typing import Callable, Dict
 
 from repro.arch.machine import Machine
+from repro.core.partitioner import PartitionConfig
 from repro.ir.loop import Loop, LoopNest
 from repro.ir.parser import parse_statement
 from repro.ir.program import Program
@@ -100,26 +101,22 @@ def compile_artifact(request: CompileRequest) -> Dict:
     object plus the headline movement/statement counts).  No wall times.
     """
     from repro.obs.report import _plan_info
-    from repro.pipeline import compile_program, session_for
-    from repro.pipeline.passes import predictor_pass_order, resolve_order
+    from repro.pipeline import PASS_REGISTRY, compile_program, session_for
 
-    machine = machine_for(request)
-    program = program_for(request)
-    pass_order = predictor_pass_order(request.predictor)
     session = session_for(
-        machine,
+        machine_for(request),
+        config=PartitionConfig(predictor=request.predictor),
         faults=request.faults,
         skip_passes=request.skip_passes,
-        pass_order=pass_order,
     )
-    partition = compile_program(program, session)
+    partition = compile_program(program_for(request), session)
     return {
         "kind": ARTIFACT_KIND,
         "version": ARTIFACT_VERSION,
         "fingerprint": request.fingerprint(),
         "request": request.canonical(),
         "pipeline": {
-            "pass_order": list(resolve_order(pass_order)),
+            "pass_order": list(PASS_REGISTRY),
             "skipped_passes": sorted(request.skip_passes),
         },
         "plan": _plan_info(partition),

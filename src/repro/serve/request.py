@@ -29,8 +29,10 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
-from repro.errors import ServeError
+from repro.core.partitioner import PREDICTORS
+from repro.errors import ConfigurationError, ServeError
 from repro.faults import FaultPlan
+from repro.pipeline.passes import skip_set
 
 #: Canonical request schema version (bumped when the key format changes:
 #: a version bump invalidates every cached artifact, which is exactly
@@ -71,9 +73,6 @@ def parse_mesh_preset(machine: str) -> Optional[Tuple[int, int]]:
         )
     return cols, rows
 
-#: Predictor choices (mirrors the CLI's ``--predictor`` flag).
-PREDICTORS = ("trace", "analytic")
-
 #: The built-in sub-second app name (shared with repro.obs.report).
 TINY_APP = "tiny"
 
@@ -100,14 +99,23 @@ def _require_type(value, types, what: str):
     return value
 
 
+#: Loop bounds and steps lie strictly inside +/- this, so every bound and
+#: trip count fits the machine integer the compiler converts it to.
+_LOOP_INT_LIMIT = 2**61
+
+
 def _loop_int(value, key: str) -> int:
-    """A loop bound or step: an ``int`` that is not a ``bool``.
+    """A loop bound or step: an ``int`` that is not a ``bool``, below
+    :data:`_LOOP_INT_LIMIT` in magnitude.
 
     Anything else raises :class:`ServeError` (HTTP 400); ``int()`` would
-    read ``true`` and ``1.7`` as 1.
+    read ``true`` and ``1.7`` as 1, and a bound like ``10**30`` would
+    overflow inside the compile.
     """
     if isinstance(value, bool) or not isinstance(value, int):
         raise ServeError(f"loop field {key!r} must be an integer, got {value!r}")
+    if abs(value) >= _LOOP_INT_LIMIT:
+        raise ServeError(f"loop field {key!r} must lie within +/-2**61, got {value}")
     return value
 
 
@@ -155,14 +163,17 @@ def _canonical_program(spec: Dict) -> Dict:
             if unknown:
                 raise ServeError(f"unknown loop field(s): {', '.join(unknown)}")
             try:
-                canonical_loops.append({
+                canonical = {
                     "var": _require_type(loop["var"], str, "loop var"),
                     "start": _loop_int(loop["start"], "start"),
                     "stop": _loop_int(loop["stop"], "stop"),
                     "step": _loop_int(loop.get("step", 1), "step"),
-                })
+                }
             except KeyError as exc:
                 raise ServeError(f"loop is missing field {exc}") from exc
+            if canonical["step"] == 0:
+                raise ServeError(f"loop {canonical['var']!r} has zero step")
+            canonical_loops.append(canonical)
         canonical_nests.append({
             "name": _require_type(
                 nest.get("name", f"nest{position}"), str, "nest name"
@@ -247,17 +258,12 @@ class CompileRequest:
 
         skip_raw = data.get("skip_passes", [])
         _require_type(skip_raw, list, "request field 'skip_passes'")
-        from repro.pipeline.passes import PASS_REGISTRY
-
-        skip = tuple(sorted(set(
-            _require_type(name, str, "skip_passes entry") for name in skip_raw
-        )))
-        unknown = sorted(name for name in skip if name not in PASS_REGISTRY)
-        if unknown:
-            raise ServeError(
-                f"unknown pass name(s) in skip_passes: {', '.join(unknown)}; "
-                f"registered passes: {', '.join(sorted(PASS_REGISTRY))}"
-            )
+        try:
+            skip = tuple(sorted(skip_set(
+                _require_type(name, str, "skip_passes entry") for name in skip_raw
+            )))
+        except ConfigurationError as exc:
+            raise ServeError(str(exc)) from None
 
         faults = None
         faults_raw = data.get("faults")

@@ -18,11 +18,12 @@ from hypothesis import strategies as st
 
 from repro.arch.knl import small_machine
 from repro.benchmarks.perf import tiny_app
-from repro.core.partitioner import NdpPartitioner, PartitionConfig
+from repro.core.partitioner import PartitionConfig
 from repro.core.window import WindowConfig
 from repro.faults.plan import FaultPlan, LinkFault
 from repro.noc.routing import Router, mesh_links
 from repro.noc.topology import Mesh2D
+from repro.pipeline import compile_program, session_for
 from repro.sim.engine import Simulator
 
 # Link-only fault plans over the 4x4 small-machine mesh, growing in
@@ -51,7 +52,7 @@ class TestDeadLinkMonotonicity:
     def test_dead_links_never_decrease_movement(self, plan):
         """Simulate one compiled schedule healthy, then link-degraded."""
         machine = small_machine()
-        result = NdpPartitioner(machine).partition(tiny_app())
+        result = compile_program(tiny_app(), session_for(machine))
         units = result.units()
         healthy = _movement_of(machine, units)
         machine.apply_faults(plan)  # link-only: endpoints stay identical
@@ -92,7 +93,7 @@ class TestWindowOneLaw:
                 fixed_window_size=1,
                 window=WindowConfig(reuse_aware=reuse_aware),
             )
-            result = NdpPartitioner(small_machine(), config).partition(tiny_app())
+            result = compile_program(tiny_app(), session_for(small_machine(), config))
             movements[reuse_aware] = result.movement
             per_statement[reuse_aware] = result.per_statement_movement()
         assert movements[True] == movements[False]

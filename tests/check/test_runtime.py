@@ -77,10 +77,15 @@ class TestModeStateMachine:
 
 class TestBitForBitOutput:
     def test_check_mode_changes_no_report_number(self):
-        """The whole tiny pipeline, checked vs unchecked, byte-identical."""
+        """The whole tiny pipeline, checked vs unchecked, byte-identical.
+
+        The one field that differs is the record of check mode itself.
+        """
         plain = build_report("tiny", scale=1)
         with check.checking():
             checked = build_report("tiny", scale=1)
+        assert checked["pipeline"].pop("check") is True
+        assert plain["pipeline"].pop("check") is False
         assert _scrub(plain) == _scrub(checked)
 
 

@@ -11,7 +11,8 @@ from repro.baselines.ideal import (
 )
 from repro.baselines.locality import block_cyclic_placement, llc_locality_placement
 from repro.core.codegen import generate_code
-from repro.core.partitioner import NdpPartitioner, PartitionConfig
+from repro.core.partitioner import PartitionConfig
+from repro.pipeline import compile_program, session_for
 from repro.sim.engine import SimConfig, run_schedule
 
 
@@ -108,9 +109,9 @@ class TestCodegen:
     def make_schedules(self, machine, program):
         config = PartitionConfig(
             split_plan_override={("main", 0): True, ("main", 1): True},
-            use_predictor=False,
+            predictor=None,
         )
-        result = NdpPartitioner(machine, config).partition(program)
+        result = compile_program(program, session_for(machine, config))
         return list(result.nest_schedules["main"].statement_schedules())
 
     def test_listing_structure(self, machine, tiny_program):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.balancer import OP_COSTS, LoadBalancer, op_cost
+from repro.core.balancer import BALANCE_THRESHOLD, OP_COSTS, LoadBalancer, op_cost
 from repro.core.locator import DataLocator, VariableToNodeMap
 from repro.core.mst import kruskal, tree_weight
 from repro.core.syncgraph import SyncGraph
@@ -72,7 +72,8 @@ class TestLoadBalancer:
         assert not balancer.would_unbalance(0, 100.0)
 
     def test_veto_over_threshold(self):
-        balancer = LoadBalancer(4, threshold=0.10)
+        assert BALANCE_THRESHOLD == 0.10  # the paper's 10% rule
+        balancer = LoadBalancer(4)
         balancer.record(1, 10.0)
         assert balancer.would_unbalance(0, 12.0)   # 12 > 1.1 * 10
         assert not balancer.would_unbalance(0, 10.5)
@@ -84,14 +85,14 @@ class TestLoadBalancer:
         assert balancer.choose([0, 1], 5.0) == 0 or balancer.choose([0, 1], 5.0) == 1
 
     def test_choose_skips_overloaded(self):
-        balancer = LoadBalancer(4, threshold=0.10)
+        balancer = LoadBalancer(4)
         balancer.record(0, 20.0)
         balancer.record(1, 10.0)
         assert balancer.choose([0, 1], 5.0) == 1
         assert balancer.skips >= 1
 
     def test_choose_falls_back_to_least_loaded(self):
-        balancer = LoadBalancer(2, threshold=0.0)
+        balancer = LoadBalancer(2)
         balancer.record(0, 10.0)
         balancer.record(1, 5.0)
         assert balancer.choose([0, 1], 100.0) == 1

@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.locator import DataLocator
 from repro.core.partitioner import (
-    NdpPartitioner,
     PartitionConfig,
     profile_access_counts,
     train_predictor,
@@ -21,6 +20,7 @@ from repro.errors import SchedulingError
 from repro.ir.loop import Loop, LoopNest
 from repro.ir.parser import parse_statement
 from repro.ir.program import Program
+from repro.pipeline import compile_program, session_for
 
 
 def always_split_config(**kwargs):
@@ -149,7 +149,7 @@ class TestProfiling:
 
 class TestNdpPartitioner:
     def test_partition_end_to_end(self, machine, tiny_program):
-        result = NdpPartitioner(machine, PartitionConfig()).partition(tiny_program)
+        result = compile_program(tiny_program, session_for(machine))
         assert result.statement_count == tiny_program.total_instances()
         assert set(result.window_sizes) == {"main"}
         assert result.variant_by_nest["main"] in ("star", "profile", "split")
@@ -158,16 +158,16 @@ class TestNdpPartitioner:
         assert len({u.uid for u in units}) == len(units)
 
     def test_every_instance_has_final_store(self, machine, tiny_program):
-        result = NdpPartitioner(machine, PartitionConfig()).partition(tiny_program)
+        result = compile_program(tiny_program, session_for(machine))
         stores = [u for u in result.units() if u.store is not None]
         assert len(stores) == tiny_program.total_instances()
 
     def test_split_plan_override_skips_gate(self, machine, tiny_program):
         config = PartitionConfig(
             split_plan_override={("main", 0): True, ("main", 1): True},
-            use_predictor=False,
+            predictor=None,
         )
-        result = NdpPartitioner(machine, config).partition(tiny_program)
+        result = compile_program(tiny_program, session_for(machine, config))
         assert result.variant_by_nest["main"] == "override"
 
     def test_fixed_window_size(self, machine, tiny_program):
@@ -175,21 +175,21 @@ class TestNdpPartitioner:
             adaptive_window=False,
             fixed_window_size=3,
             split_plan_override={("main", 0): True, ("main", 1): True},
-            use_predictor=False,
+            predictor=None,
         )
-        result = NdpPartitioner(machine, config).partition(tiny_program)
+        result = compile_program(tiny_program, session_for(machine, config))
         assert result.window_sizes["main"] == 3
 
     def test_predictor_accuracy_reported(self, machine, tiny_program):
-        result = NdpPartitioner(machine, PartitionConfig()).partition(tiny_program)
+        result = compile_program(tiny_program, session_for(machine))
         assert result.predictor_accuracy is not None
         assert 0.0 <= result.predictor_accuracy <= 1.0
 
     def test_op_fraction_partition(self, machine, tiny_program):
         config = PartitionConfig(
             split_plan_override={("main", 0): True, ("main", 1): True},
-            use_predictor=False,
+            predictor=None,
         )
-        result = NdpPartitioner(machine, config).partition(tiny_program)
+        result = compile_program(tiny_program, session_for(machine, config))
         fractions = result.remapped_op_fractions()
         assert sum(fractions.values()) == pytest.approx(1.0)

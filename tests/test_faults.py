@@ -22,7 +22,6 @@ import pytest
 
 from repro.arch.knl import small_machine
 from repro.baselines.default_placement import DefaultPlacement
-from repro.core.partitioner import NdpPartitioner
 from repro.errors import FaultError
 from repro.faults import (
     ChannelDegrade,
@@ -32,6 +31,7 @@ from repro.faults import (
     random_plan,
 )
 from repro.noc.routing import Router, xy_route_links_cached
+from repro.pipeline import compile_program, session_for
 from repro.sim.engine import SimConfig, Simulator
 
 
@@ -54,7 +54,7 @@ def _seeded_plan(machine, seed=7):
 def _tiny_units(machine):
     from repro.benchmarks.perf import tiny_app
 
-    return NdpPartitioner(machine).partition(tiny_app()).units()
+    return compile_program(tiny_app(), session_for(machine)).units()
 
 
 # -- plan serialization ----------------------------------------------------

@@ -2,11 +2,12 @@
 
 from repro.arch.knl import small_machine
 from repro.cache.predictor import HitMissPredictor
-from repro.core.partitioner import NdpPartitioner, PartitionConfig
+from repro.core.partitioner import PartitionConfig
 from repro.core.window import WindowConfig, WindowScheduler
 from repro.ir.loop import Loop, LoopNest
 from repro.ir.parser import parse_statement
 from repro.ir.program import Program
+from repro.pipeline import compile_program, session_for
 
 
 def gate_program():
@@ -28,12 +29,12 @@ def gate_program():
 
 class TestGate:
     def test_gate_records_variant(self, machine):
-        result = NdpPartitioner(machine, PartitionConfig()).partition(gate_program())
+        result = compile_program(gate_program(), session_for(machine))
         assert result.variant_by_nest["main"] in ("star", "profile", "split")
 
     def test_always_split_bypasses_gate(self, machine):
         config = PartitionConfig(window=WindowConfig(always_split=True))
-        result = NdpPartitioner(machine, config).partition(gate_program())
+        result = compile_program(gate_program(), session_for(machine, config))
         assert result.variant_by_nest["main"] == "split"
         # Splitting produced multi-unit statements somewhere.
         multi = [
@@ -45,21 +46,21 @@ class TestGate:
 
     def test_star_plan_units_match_instance_count(self, machine):
         config = PartitionConfig(
-            split_plan_override={("main", 0): False}, use_predictor=False
+            split_plan_override={("main", 0): False}, predictor=None
         )
         program = gate_program()
-        result = NdpPartitioner(machine, config).partition(program)
+        result = compile_program(program, session_for(machine, config))
         assert len(result.units()) == program.total_instances()
 
     def test_plan_exposed_for_reuse(self, machine):
-        result = NdpPartitioner(machine, PartitionConfig()).partition(gate_program())
+        result = compile_program(gate_program(), session_for(machine))
         assert set(result.split_plan) == {("main", 0)}
         # Feeding the plan back reproduces the same variant choice.
         machine2 = small_machine()
         config = PartitionConfig(
-            split_plan_override=result.split_plan, use_predictor=False
+            split_plan_override=result.split_plan, predictor=None
         )
-        result2 = NdpPartitioner(machine2, config).partition(gate_program())
+        result2 = compile_program(gate_program(), session_for(machine2, config))
         assert result2.variant_by_nest["main"] == "override"
         plan_units = {u.node for u in result.units()}
         override_units = {u.node for u in result2.units()}
@@ -89,9 +90,11 @@ class TestOneSchedulingPath:
 
         monkeypatch.setattr(WindowScheduler, "schedule_nest", counting_schedule_nest)
         monkeypatch.setattr(SchedulePass, "_simulate", staticmethod(counting_simulate))
-        partitioner = NdpPartitioner(small_machine(), config)
-        partitioner.predictor = predictor
-        result = partitioner.partition(gate_program())
+        result = compile_program(
+            gate_program(),
+            session_for(small_machine(), config),
+            initial={"predictor": predictor},
+        )
         return sizes, measured, result
 
     def test_pure_predictor_schedules_each_candidate_once(self, monkeypatch):

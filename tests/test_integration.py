@@ -6,10 +6,10 @@ from repro.arch.knl import small_machine
 from repro.baselines.default_placement import DefaultPlacement
 from repro.cli import main as cli_main
 from repro.core.codegen import generate_code
-from repro.core.partitioner import NdpPartitioner, PartitionConfig
 from repro.ir.loop import Loop, LoopNest
 from repro.ir.parser import parse_statement
 from repro.ir.program import Program
+from repro.pipeline import compile_program, session_for
 from repro.sim.engine import SimConfig, run_schedule
 
 
@@ -39,9 +39,7 @@ class TestDeterminism:
         results = []
         for _ in range(2):
             machine = small_machine()
-            result = NdpPartitioner(machine, PartitionConfig()).partition(
-                medium_program()
-            )
+            result = compile_program(medium_program(), session_for(machine))
             units = result.units()
             results.append(
                 [
@@ -67,9 +65,7 @@ class TestEndToEndInvariants:
         placement = DefaultPlacement(m_default).place(medium_program())
         default = run_schedule(m_default, placement.units)
         m_optimized = small_machine()
-        result = NdpPartitioner(m_optimized, PartitionConfig()).partition(
-            medium_program()
-        )
+        result = compile_program(medium_program(), session_for(m_optimized))
         optimized = run_schedule(m_optimized, result.units())
         return default, optimized, result
 
@@ -106,9 +102,7 @@ class TestEndToEndInvariants:
 
     def test_ideal_network_bounds_normal(self):
         machine = small_machine()
-        result = NdpPartitioner(machine, PartitionConfig()).partition(
-            medium_program()
-        )
+        result = compile_program(medium_program(), session_for(machine))
         units = result.units()
         normal = run_schedule(machine, units)
         machine2 = small_machine()

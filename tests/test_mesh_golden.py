@@ -117,22 +117,18 @@ class TestLargeMeshCompiles:
     """The acceptance criterion: big-mesh compiles complete end to end."""
 
     def test_minimd_compiles_at_12x12(self):
-        from repro.core.partitioner import NdpPartitioner
         from repro.experiments.common import paper_machine
-        from repro.pipeline import session_for
+        from repro.pipeline import compile_program, session_for
         from repro.workloads import build_workload
 
         session = session_for(paper_machine(mesh_cols=12, mesh_rows=12))
-        partition = NdpPartitioner.from_session(session).partition(
-            build_workload("minimd", 1, 0)
-        )
+        partition = compile_program(build_workload("minimd", 1, 0), session)
         assert partition.movement > 0
 
     def test_tiny_compiles_at_16x16(self):
-        from repro.core.partitioner import NdpPartitioner
         from repro.experiments.common import paper_machine
-        from repro.pipeline import session_for
+        from repro.pipeline import compile_program, session_for
 
         session = session_for(paper_machine(mesh_cols=16, mesh_rows=16))
-        partition = NdpPartitioner.from_session(session).partition(tiny_app())
+        partition = compile_program(tiny_app(), session)
         assert partition.movement >= 0

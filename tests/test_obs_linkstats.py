@@ -12,9 +12,9 @@ from __future__ import annotations
 from repro.arch.knl import small_machine
 from repro.baselines.default_placement import DefaultPlacement
 from repro.benchmarks.perf import tiny_app
-from repro.core.partitioner import NdpPartitioner, PartitionConfig
 from repro.noc.network import LinkStats
 from repro.noc.routing import mesh_links
+from repro.pipeline import compile_program, session_for
 from repro.sim.engine import SimConfig, Simulator
 
 
@@ -27,7 +27,7 @@ def _default_run():
 
 def _optimized_run():
     machine = small_machine()
-    partition = NdpPartitioner(machine, PartitionConfig()).partition(tiny_app())
+    partition = compile_program(tiny_app(), session_for(machine))
     simulator = Simulator(machine, SimConfig())
     metrics = simulator.run(partition.units())
     return machine, simulator, metrics

@@ -17,7 +17,6 @@ import threading
 
 from repro.arch.knl import small_machine
 from repro.benchmarks.perf import tiny_app
-from repro.core.partitioner import NdpPartitioner, PartitionConfig
 from repro.obs.tracer import (
     NULL_TRACER,
     Tracer,
@@ -26,13 +25,14 @@ from repro.obs.tracer import (
     strip_wall_times,
     tracing,
 )
+from repro.pipeline import compile_program, session_for
 from repro.sim.engine import SimConfig, Simulator
 
 
 def _run_pipeline():
     """Compile + simulate the tiny app; returns (partition, metrics)."""
     machine = small_machine()
-    partition = NdpPartitioner(machine, PartitionConfig()).partition(tiny_app())
+    partition = compile_program(tiny_app(), session_for(machine))
     metrics = Simulator(machine, SimConfig()).run(partition.units())
     return partition, metrics
 
@@ -193,3 +193,25 @@ def test_span_add_lands_in_end_event():
     assert begin["ev"] == "B" and begin["data"] == {"input": 3}
     assert end["ev"] == "E" and end["data"] == {"output": 9}
     assert end["dur"] >= 0.0
+
+
+def test_payload_field_called_name_is_recorded():
+    """The event name is positional-only, so ``name=`` is ordinary data."""
+    sink = io.StringIO()
+    tracer = Tracer(sink, debug=True)
+    with tracer.span("experiment", name="fig13"):
+        pass
+    with tracer.debug_span("window", name="w0"):
+        pass
+    tracer.point("run", name="cholesky")
+    events = [json.loads(line) for line in sink.getvalue().splitlines()]
+    assert [(e["ev"], e["name"], e.get("data")) for e in events] == [
+        ("B", "experiment", {"name": "fig13"}),
+        ("E", "experiment", None),
+        ("B", "window", {"name": "w0"}),
+        ("E", "window", None),
+        ("P", "run", {"name": "cholesky"}),
+    ]
+    with NULL_TRACER.span("experiment", name="fig13"):
+        pass
+    NULL_TRACER.point("run", name="cholesky")

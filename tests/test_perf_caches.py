@@ -155,8 +155,9 @@ class TestGateScheduleReuse:
         self._assert_fast_path_matches(reuse_aware=False)
 
     def _assert_fast_path_matches(self, reuse_aware: bool):
-        from repro.core.partitioner import NdpPartitioner, PartitionConfig
+        from repro.core.partitioner import PartitionConfig
         from repro.core.window import WindowConfig
+        from repro.pipeline import compile_program, session_for
         from repro.sim.engine import run_schedule
         from repro.workloads import build_workload
 
@@ -173,9 +174,11 @@ class TestGateScheduleReuse:
             for predictor in (HitMissPredictor(), _ImpureFlagged()):
                 machine = small_machine()
                 config = PartitionConfig(window=WindowConfig(reuse_aware=reuse_aware))
-                partitioner = NdpPartitioner(machine, config)
-                partitioner.predictor = predictor
-                result = partitioner.partition(build())
+                result = compile_program(
+                    build(),
+                    session_for(machine, config),
+                    initial={"predictor": predictor},
+                )
                 metrics = run_schedule(machine, result.units())
                 results.append((result, metrics))
             (fast, fast_metrics), (slow, slow_metrics) = results

@@ -1,9 +1,10 @@
 """The pass pipeline: registry, session, manager, CLI, schema.
 
-Covers the refactor's contract: the default order reproduces the
-pre-refactor compile bit-for-bit (golden test), passes can be reordered
-and skipped, each executed pass runs in a tracer span, and the session
-serializes into report.json's ``pipeline`` section (schema v3).
+Covers the pipeline's contract: the one pass order reproduces the
+pre-refactor compile bit-for-bit (golden test), every pass but
+``schedule`` can be skipped and a skipped pass does not run, each
+executed pass runs in a tracer span, and the session serializes into
+report.json's ``pipeline`` section (schema v3).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import pytest
 
 from repro import cli
 from repro.arch.knl import small_machine
+from repro.cache.predictor import HitMissPredictor
 from repro.core.balancer import LoadBalancer
 from repro.core.partitioner import PartitionConfig
 from repro.core.window import WindowConfig
@@ -27,16 +29,13 @@ from repro.ir.parser import parse_statement
 from repro.ir.program import Program
 from repro.obs.report import build_report
 from repro.obs.schema import validate_report
-from repro.obs.tracer import tracing
+from repro.obs.tracer import read_events, tracing
 from repro.pipeline import (
     DEFAULT_PASS_ORDER,
     PASS_REGISTRY,
-    Artifacts,
-    PassManager,
     compile_program,
     session_for,
 )
-from repro.pipeline.passes import resolve_order
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "report_tiny.json"
 
@@ -76,69 +75,35 @@ def always_split_session(**kwargs):
 
 class TestRegistryAndOrder:
     def test_default_order_is_the_registry_defaults(self):
-        defaults = tuple(
-            p.info.name for p in PASS_REGISTRY.values() if p.info.default
+        assert DEFAULT_PASS_ORDER == tuple(PASS_REGISTRY) == (
+            "profile", "predict", "inspect", "split", "schedule", "balance",
+            "sync_minimize",
         )
-        assert DEFAULT_PASS_ORDER == defaults
-        assert "codegen" in PASS_REGISTRY
-        assert "codegen" not in DEFAULT_PASS_ORDER
-        assert resolve_order(None) == DEFAULT_PASS_ORDER
-
-    def test_resolve_order_round_trips_custom_orders(self):
-        order = ("profile", "split", "schedule")
-        assert resolve_order(order) == order
-
-    def test_resolve_order_rejects_unknown_names(self):
-        with pytest.raises(ConfigurationError, match="unknown pass name"):
-            resolve_order(("profile", "bogus"))
-
-    def test_resolve_order_rejects_duplicates(self):
-        with pytest.raises(ConfigurationError, match="twice"):
-            resolve_order(("profile", "profile"))
 
     def test_session_for_rejects_unknown_skip_names(self):
         with pytest.raises(ConfigurationError, match="bogus"):
             session_for(small_machine(), skip_passes=("bogus",))
 
-    def test_artifacts_require_names_the_producer(self):
-        with pytest.raises(ConfigurationError, match="schedule"):
-            Artifacts().require("partition", "codegen")
+    def test_schedule_cannot_be_skipped(self):
+        with pytest.raises(ConfigurationError, match="'schedule' cannot be skipped"):
+            session_for(small_machine(), skip_passes=("schedule",))
+
+    def test_config_rejects_unknown_predictor(self):
+        with pytest.raises(ConfigurationError, match="unknown predictor"):
+            PartitionConfig(predictor="oracle")
 
 
 class TestPipelineRuns:
-    def test_explicit_default_order_matches_implicit(self):
-        implicit = compile_program(split_program(), always_split_session())
-        explicit = compile_program(
-            split_program(), always_split_session(pass_order=DEFAULT_PASS_ORDER)
+    def test_seeded_predictor_is_used_and_trained(self):
+        """A predictor passed in ``initial`` replaces the config's choice."""
+        seeded = HitMissPredictor()
+        partition = compile_program(
+            split_program(),
+            session_for(small_machine(), PartitionConfig(predictor=None)),
+            initial={"predictor": seeded},
         )
-        assert implicit.movement == explicit.movement
-        assert implicit.window_sizes == explicit.window_sizes
-
-    def test_inline_passes_are_order_insensitive(self):
-        # The inline passes' run() methods are no-ops, so dropping them
-        # from the order (without skipping them) changes nothing.
-        order = tuple(
-            name for name in DEFAULT_PASS_ORDER
-            if not PASS_REGISTRY[name].info.inline
-        )
-        baseline = compile_program(split_program(), always_split_session())
-        trimmed = compile_program(
-            split_program(), always_split_session(pass_order=order)
-        )
-        assert trimmed.movement == baseline.movement
-
-    def test_codegen_pass_runs_when_ordered(self):
-        session = always_split_session(
-            pass_order=DEFAULT_PASS_ORDER + ("codegen",)
-        )
-        artifacts = PassManager(session).run(split_program())
-        assert "generated_code" in artifacts
-        assert "partition" in artifacts
-
-    def test_codegen_before_schedule_raises_wrong_order_error(self):
-        session = always_split_session(pass_order=("profile", "codegen"))
-        with pytest.raises(ConfigurationError, match="schedule"):
-            PassManager(session).run(split_program())
+        assert seeded.stats.total > 0
+        assert partition.predictor_accuracy == seeded.accuracy()
 
     def test_pass_timings_cover_the_executed_passes(self):
         with tracing() as tracer:
@@ -161,7 +126,7 @@ class TestPipelineRuns:
         session = always_split_session(skip_passes=("balance",))
         partition = compile_program(split_program(), session)
         assert partition.movement >= 0  # compiles end to end
-        balancer = LoadBalancer(4, 0.10, enabled=False)
+        balancer = LoadBalancer(4, enabled=False)
         balancer.record(0, 1_000_000)
         assert not balancer.would_unbalance(0, 1.0)
 
@@ -244,7 +209,7 @@ class TestCli:
         out = capsys.readouterr().out
         for name in PASS_REGISTRY:
             assert name in out
-        assert "default order:" in out
+        assert f"\norder: {' -> '.join(PASS_REGISTRY)}\n" in out
 
     def test_report_without_app_exits_2(self, capsys):
         assert cli.main(["report"]) == 2
@@ -253,6 +218,40 @@ class TestCli:
     def test_unknown_skip_pass_exits_2(self, capsys):
         assert cli.main(["report", "tiny", "--skip-pass", "bogus"]) == 2
         assert "bogus" in capsys.readouterr().err
+
+    def test_skip_schedule_exits_2_before_any_work(self, capsys, tmp_path):
+        trace = tmp_path / "trace.jsonl"
+        argv = ["report", "tiny", "--skip-pass", "schedule", "--trace", str(trace)]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "'schedule' cannot be skipped" in err[0]
+        assert not trace.exists()
+
+    def test_analytic_predictor_runs_inside_the_predict_pass(self, tmp_path):
+        out, trace = tmp_path / "report.json", tmp_path / "trace.jsonl"
+        argv = ["report", "tiny", "--predictor", "analytic", "--no-heatmap"]
+        assert cli.main(argv + ["--out", str(out), "--trace", str(trace)]) == 0
+        report = json.loads(out.read_text())
+        assert report["pipeline"]["config"]["predictor"] == "analytic"
+        assert report["pipeline"]["pass_order"] == list(DEFAULT_PASS_ORDER)
+        assert report["plan"]["predictor_accuracy"] is None
+        names = [(e["ev"], e["name"]) for e in read_events(str(trace))]
+        start = names.index(("B", "pass.predict"))
+        end = names.index(("E", "pass.predict"))
+        assert ("B", "compile.analytic_predict") in names[start:end]
+
+    def test_skipped_predict_pass_builds_no_analytic_model(self, tmp_path):
+        out, trace = tmp_path / "report.json", tmp_path / "trace.jsonl"
+        argv = ["report", "tiny", "--predictor", "analytic", "--no-heatmap"]
+        argv += ["--skip-pass", "predict", "--out", str(out), "--trace", str(trace)]
+        assert cli.main(argv) == 0
+        report = json.loads(out.read_text())
+        assert set(report["pipeline"]["pass_seconds"]) == set(DEFAULT_PASS_ORDER) - {
+            "predict"
+        }
+        assert report["plan"]["predictor_accuracy"] is None
+        names = {e["name"] for e in read_events(str(trace))}
+        assert "compile.analytic_predict" not in names
 
     def test_skip_pass_lands_in_the_report(self, tmp_path):
         out = tmp_path / "report.json"

@@ -125,6 +125,12 @@ class TestHttpSurface:
             (inline_loop(start=True), "'start' must be an integer"),
             (inline_loop(stop=[1]), "'stop' must be an integer"),
             (inline_loop(step="5"), "'step' must be an integer"),
+            ({**TINY, "skip_passes": ["codegen"]}, "unknown pass name"),
+            ({**TINY, "skip_passes": ["predict_analytic"]}, "unknown pass name"),
+            ({**TINY, "skip_passes": ["schedule"]}, "cannot be skipped"),
+            (inline_loop(stop=10**30), "must lie within"),
+            (inline_loop(start=10**30, stop=10**30 + 4), "must lie within"),
+            (inline_loop(step=0), "zero step"),
         ],
     )
     def test_retired_execution_fields_are_400(
@@ -134,6 +140,8 @@ class TestHttpSurface:
             with pytest.raises(ServeResponseError) as excinfo:
                 client.compile(request_json)
             assert client.healthz() == {"status": "ok"}
+            # Refused at parse time: the request never reached the cache.
+            assert client.stats()["cache_misses"] == 0
         assert excinfo.value.status == 400
         assert message in str(excinfo.value)
 

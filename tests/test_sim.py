@@ -4,10 +4,10 @@
 import pytest
 
 from repro.baselines.default_placement import DefaultPlacement
-from repro.core.partitioner import NdpPartitioner, PartitionConfig
 from repro.core.subcomputation import GatheredInput, Subcomputation, SubResult
 from repro.errors import SimulationError
 from repro.ir.statement import Access
+from repro.pipeline import compile_program, session_for
 from repro.sim.energy import EnergyModel
 from repro.sim.engine import SimConfig, run_schedule
 
@@ -189,7 +189,7 @@ class TestEndToEndSimulation:
         import copy
 
         program2 = copy.deepcopy(tiny_program)
-        result = NdpPartitioner(m_opt, PartitionConfig()).partition(program2)
+        result = compile_program(program2, session_for(m_opt))
         optimized_metrics = run_schedule(m_opt, result.units())
 
         assert optimized_metrics.total_cycles <= default_metrics.total_cycles * 1.10
@@ -199,7 +199,6 @@ class TestEndToEndSimulation:
         from repro.arch.knl import small_machine
         from repro.arch.memory_modes import MemoryMode
         from repro.benchmarks.perf import tiny_app
-        from repro.pipeline import compile_program, session_for
 
         machine = small_machine(memory_mode=MemoryMode.CACHE)
         units = compile_program(tiny_app(), session_for(machine)).units()
