@@ -42,7 +42,7 @@ class OracleL2Predictor:
     #: ``predict`` runs the access against the private L2 model, so every
     #: call advances cache state — the answer depends on how many times the
     #: compiler asked before.  Memoization layers that would skip repeat
-    #: location queries (the nest's split templates) must stay off.
+    #: location queries (the nest's split kernel) must stay off.
     pure_predict = False
 
     def __init__(self, machine: Machine):

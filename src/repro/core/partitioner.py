@@ -156,10 +156,6 @@ class PartitionResult:
             "others": others / total,
         }
 
-    def modeled_l1_hits(self) -> int:
-        """Compile-time estimate of L1 reuse hits across all nests."""
-        return sum(s.l1_hits_modeled for s in self.nest_schedules.values())
-
 
 def profile_access_counts(
     program: Program, max_instances: int = PROFILE_INSTANCES

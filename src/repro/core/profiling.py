@@ -69,9 +69,9 @@ def profile_statements(
 
     The cache simulation mirrors the execution engine's access flow but
     only tracks movement, so it is cheap enough to run over a large sample.
-    When a ``session`` is given, the MST side uses the vectorized split
-    templates (:mod:`repro.core.vectorized`); the movement side stays on
-    the reference simulation either way.
+    When a ``session`` is given, the MST side uses the nest's split
+    kernel (:mod:`repro.core.vectorized`); the movement side stays on the
+    reference simulation either way.
     """
     program.declare_on(machine)
     fallback_nodes = fallback_nodes or {}

@@ -118,13 +118,6 @@ class StatementSchedule:
         return sum(s.movement for s in self.subcomputations)
 
     @property
-    def l1_hits_modeled(self) -> int:
-        """Compile-time L1 reuse hits modeled for this schedule."""
-        return sum(
-            1 for s in self.subcomputations for g in s.gathered if g.l1_hit
-        )
-
-    @property
     def gathers(self) -> int:
         """Total operand-gather messages across subcomputations."""
         return sum(len(s.gathered) for s in self.subcomputations)

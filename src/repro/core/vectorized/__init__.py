@@ -6,8 +6,9 @@ by check-mode oracle:
 * :class:`~repro.core.vectorized.tables.NestTables` — per-nest batched
   VA->PA->block/primary/on-chip tables, replaying page translations in
   canonical first-touch order;
-* :class:`~repro.core.vectorized.split_kernel.SplitTemplates` —
-  signature-deduplicated statement splits built on those tables.
+* :class:`~repro.core.vectorized.split_kernel.SplitTemplates` — the
+  split kernel: every split after a statement's first is built from
+  those tables and one Kruskal memo per statement.
 
 The session-level helpers below gate the fast path: it is only used with
 pure predictors (``pure_predict=True``) and falls back to the scalar code
@@ -47,7 +48,7 @@ def nest_tables_for(session, program, nest, predictor):
 
 
 def templates_for(session, program, nest, locator, flatten_products: bool):
-    """The session's :class:`SplitTemplates` for ``nest`` (None = scalar)."""
+    """The session's split kernel for ``nest`` (None = scalar splits)."""
     tables = nest_tables_for(session, program, nest, locator.predictor)
     if tables is None:
         return None

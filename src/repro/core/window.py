@@ -22,9 +22,7 @@ from functools import cached_property
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 
-from repro import check
 from repro.arch.machine import Machine
-from repro.check import invariants
 from repro.core.balancer import LoadBalancer
 from repro.core.locator import DataLocator, VariableToNodeMap
 from repro.core.scheduler import (
@@ -78,10 +76,9 @@ class WindowConfig:
 
 @dataclass
 class WindowSchedule:
-    """All statement schedules of one window plus its sync graph."""
+    """All statement schedules of one window plus its sync-arc counts."""
 
     schedules: List[StatementSchedule]
-    sync_graph: SyncGraph
     syncs_before_minimization: int
     syncs_after_minimization: int
 
@@ -113,18 +110,6 @@ class NestSchedule:
     def statement_count(self) -> int:
         """Statement instances scheduled across the nest."""
         return sum(w.statement_count for w in self.windows)
-
-    @property
-    def subcomputation_count(self) -> int:
-        """Total subcomputations across the nest's windows."""
-        return sum(
-            len(s.subcomputations) for w in self.windows for s in w.schedules
-        )
-
-    @property
-    def l1_hits_modeled(self) -> int:
-        """Compile-time L1 reuse hits modeled across the nest."""
-        return sum(s.l1_hits_modeled for w in self.windows for s in w.schedules)
 
     @property
     def gathers(self) -> int:
@@ -191,8 +176,8 @@ class WindowScheduler:
         self.balancer = balancer or LoadBalancer(
             machine.node_count, enabled=balance_enabled
         )
-        # Vectorized fast path and the one split memo: per-nest location
-        # tables + signature-deduped split templates (repro.core.vectorized),
+        # Vectorized fast path and the one split kernel: per-nest location
+        # tables + the table-backed split kernel (repro.core.vectorized),
         # shared by every candidate plan's size trials and scheduling.
         # ``templates_for`` hands out None for a stateful predictor (the
         # ideal-analysis oracle), whose answers depend on the query stream,
@@ -296,13 +281,13 @@ class WindowScheduler:
                     )
                 )
         if not sync_graph:
-            return WindowSchedule(schedules, SyncGraph(), 0, 0)
+            return WindowSchedule(schedules, 0, 0)
         if len(schedules) == 1 and len(schedules[0].subcomputations) == 1:
             # A singleton window whose one statement stayed whole has no
             # sync arcs by construction (no child results, no second
             # instance to depend on) — skip building and minimizing the
             # graph.
-            return WindowSchedule(schedules, SyncGraph(), 0, 0)
+            return WindowSchedule(schedules, 0, 0)
         graph = self._build_sync_graph(instances, schedules)
         before = graph.arc_count()
         after = graph.minimize_in(self._session)
@@ -317,47 +302,21 @@ class WindowScheduler:
                 arcs_before=before,
                 arcs_after=after,
             )
-        return WindowSchedule(schedules, graph, before, after)
+        return WindowSchedule(schedules, before, after)
 
     def _split_of(
         self,
         instance: StatementInstance,
         var2node: Optional[VariableToNodeMap],
     ) -> StatementSplit:
-        """Split ``instance``, from the nest's templates where they apply.
+        """Split ``instance``: the nest's kernel, or scalar without one.
 
-        Against an empty (or absent) ``variable2node_map`` — the first
-        statement of every window, any statement when reuse is off — the
-        templates return the memoized empty-map split.  Mid-window, a
-        statement none of whose operand blocks the map holds gets the same
-        empty-map split (every ``locate`` would return empty ``l1_copies``);
-        otherwise the skeleton replay answers from the tables plus the map.
-        Without templates every split is a fresh scalar
-        :func:`split_statement`.
+        Without a kernel (a stateful predictor such as the ideal-analysis
+        oracle, or a nest the tables cannot resolve) every split is a fresh
+        scalar :func:`split_statement`.
         """
-        templates = self._templates
-        if templates is not None:
-            if var2node is None or len(var2node) == 0:
-                return templates.split(instance)
-            if templates.blocks_held(instance, var2node):
-                split = templates.split_with_map(instance, var2node)
-            else:
-                split = templates.split(instance)
-            if split is not None:
-                if check.enabled():
-                    # The split must equal a scalar recompute against the
-                    # actual window map (for a no-overlap statement: the
-                    # claim that the map does not change its split).
-                    invariants.check_split_cache_hit(
-                        split,
-                        split_statement(
-                            instance,
-                            self.locator,
-                            var2node,
-                            flatten_products=self.config.flatten_products,
-                        ),
-                    )
-                return split
+        if self._templates is not None:
+            return self._templates.split(instance, var2node)
         return split_statement(
             instance,
             self.locator,
@@ -455,11 +414,12 @@ class WindowSizeSearch:
         self.locator = locator
         self.config = config
         self.uid_counter = uid_counter if uid_counter is not None else itertools.count()
-        # Per-nest split templates shared by every trial and the final
-        # schedule: window-opening splits are identical regardless of window
-        # size, so their MST work is done once.  The schedule pass hands the
-        # same templates to every candidate plan's search too — splits
-        # depend only on the operands, not on the split *plan*.
+        # The nest's split kernel, shared by every trial and the final
+        # schedule: its Kruskal memo is keyed by leaf vertices, not by
+        # window size, so each distinct MST is computed once.  The schedule
+        # pass hands the same kernel to every candidate plan's search too —
+        # splits depend only on the operands and the window map, not on the
+        # split *plan*.
         self._templates = templates
         self.fallback_nodes = fallback_nodes
         self.split_plan = split_plan
@@ -485,11 +445,11 @@ class WindowSizeSearch:
         The returned schedule is empty: only the size and the movement of
         every candidate size are measured; the smallest best size wins
         ties.  The sampled instance stream is materialized once and shared
-        by all trials (it is identical for every size), as are the
-        window-opening statement splits (via the templates) and the
-        :class:`DataLocator`.  Each trial still gets a fresh scheduler +
-        load balancer — their state is what the trial measures, so only
-        the stateless work is hoisted out of the loop.
+        by all trials (it is identical for every size), as are the split
+        kernel's Kruskal memo and the :class:`DataLocator`.  Each trial
+        still gets a fresh scheduler + load balancer — their state is what
+        the trial measures, so only the stateless work is hoisted out of
+        the loop.
         """
         tracer = get_tracer()
         search_span = tracer.span(

@@ -18,16 +18,11 @@ from repro.experiments.common import (
     experiment_main,
     format_table,
 )
-from repro.utils.stats import geomean
 
 
 @dataclass
 class Fig13Result:
     reductions: Dict[str, Tuple[float, float]]  # app -> (avg, max)
-
-    def average_geomean(self) -> float:
-        positives = [max(avg, 1e-4) for avg, _ in self.reductions.values()]
-        return geomean(positives) if positives else 0.0
 
     def mean_reduction(self) -> float:
         values = [avg for avg, _ in self.reductions.values()]

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.ir.program import Program
 from repro.ir.statement import Access, StatementInstance
@@ -80,17 +80,6 @@ def instance_dependences(
         last_writer[wkey] = inst.seq
         readers_since_write[wkey] = []
     return deps
-
-
-def dependence_sources(
-    instances: Sequence[StatementInstance],
-) -> Dict[int, Set[int]]:
-    """Map of instance seq -> seqs of earlier instances it depends on."""
-    sources: Dict[int, Set[int]] = {inst.seq: set() for inst in instances}
-    for dep in instance_dependences(instances):
-        if dep.src_seq != dep.dst_seq:
-            sources[dep.dst_seq].add(dep.src_seq)
-    return sources
 
 
 def may_depend(program: Program) -> bool:

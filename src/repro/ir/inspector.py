@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Set
 
-from repro.errors import DependenceError, WorkloadError
+from repro.errors import WorkloadError
 from repro.ir.dependence import Dependence, instance_dependences
 from repro.ir.expr import IndirectIndex
 from repro.ir.loop import LoopNest
@@ -103,11 +103,3 @@ class InspectorExecutor:
             if self.needs_inspection(nest):
                 self.inspect(nest)
         return dict(self._results)
-
-    def result_for(self, nest_name: str) -> InspectionResult:
-        try:
-            return self._results[nest_name]
-        except KeyError:
-            raise DependenceError(
-                f"nest {nest_name!r} has not been inspected"
-            ) from None

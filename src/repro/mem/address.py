@@ -113,10 +113,6 @@ class CacheLineInterleaving:
         """Cache block (line) number of ``address``."""
         return address >> self.offset_field.width
 
-    def with_bank(self, address: int, bank: int) -> int:
-        """Rewrite the bank bits of ``address`` (used by page coloring)."""
-        return self.bank_field.insert(address, bank)
-
 
 class PageInterleaving:
     """Page-granularity mapping over channels/ranks/banks (Figure 2b)."""
@@ -144,9 +140,6 @@ class PageInterleaving:
     def channel_of(self, address: int) -> int:
         """Memory channel (controller) index of ``address``."""
         return self.channel_field.extract(address)
-
-    def rank_of(self, address: int) -> int:
-        return self.rank_field.extract(address)
 
     def bank_of(self, address: int) -> int:
         return self.bank_field.extract(address)

@@ -213,12 +213,6 @@ class Router:
             return 0
         return len(self.route_links(src, dst))
 
-    def hops_fn(self):
-        """Fastest available ``(a, b) -> hops`` callable."""
-        if self.healthy:
-            return self.mesh.distance_fn()
-        return self.hops
-
     def _clean(self, links: Tuple[LinkId, ...]) -> bool:
         dead = self.dead_links
         return not any(link in dead for link in links)

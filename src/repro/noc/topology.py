@@ -214,10 +214,6 @@ class Mesh2D:
         """Longest shortest-path distance on the mesh."""
         return (self.cols - 1) + (self.rows - 1)
 
-    def center_id(self) -> int:
-        """Id of the (floor-)central node."""
-        return self.id_of(Coord(self.cols // 2, self.rows // 2))
-
     def __repr__(self) -> str:
         return f"Mesh2D({self.cols}x{self.rows})"
 

@@ -306,14 +306,14 @@ class SchedulePass(Pass):
             nest_span = tracer.span(
                 "compile.nest", nest=nest.name, statements=nest.body_size
             )
-            # Vectorized fast path and the one split memo
-            # (repro.core.vectorized): per-nest location tables + split
-            # templates, shared by every candidate plan's scheduling and
-            # size search — a statement's empty-map split depends only on
-            # its operands, so its MST work is done once per signature
-            # instead of once per plan.  ensure() replays the whole nest's
-            # page translations in canonical first-touch order up front —
-            # the same frames the lazy scalar touches would assign.
+            # Vectorized fast path and the one split kernel
+            # (repro.core.vectorized): per-nest location tables + the
+            # kernel, shared by every candidate plan's scheduling and size
+            # search — a split depends only on its operands and the window
+            # map, so each distinct MST is computed once instead of once
+            # per plan.  ensure() replays the whole nest's page
+            # translations in canonical first-touch order up front — the
+            # same frames the lazy scalar touches would assign.
             from repro.core.vectorized import templates_for
 
             templates = templates_for(

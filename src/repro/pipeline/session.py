@@ -2,7 +2,7 @@
 
 Before this layer existed, every cross-cutting concern — the machine and
 its data layout, the window configuration, an optional fault plan, the
-tracer, and the per-nest split templates — was threaded through the
+tracer, and the per-nest split kernels — was threaded through the
 partitioner, window search, scheduler, and balancer as loose keyword
 arguments.  The session bundles all of it:
 
@@ -12,8 +12,8 @@ arguments.  The session bundles all of it:
 * **skipped passes** — the passes of the fixed order
   (:mod:`repro.pipeline.passes`) this compile leaves out;
 * **run state** — the cross-pass caches (the per-nest location tables
-  and statement-split templates shared by every candidate plan's
-  scheduling and window-size search).
+  and split kernels shared by every candidate plan's scheduling and
+  window-size search).
 
 One session corresponds to one compile context.  It keeps no wall times:
 the :class:`~repro.pipeline.manager.PassManager` runs each pass in a
@@ -37,10 +37,10 @@ from repro.pipeline.passes import PASS_REGISTRY, skip_set
 class SessionCaches:
     """Mutable caches owned by one session, scoped to one compile run.
 
-    ``split_templates`` is the one split memo: one store per nest is shared
-    by every candidate plan's scheduling and window-size search (a
-    window-opening statement's split depends only on its operands, so the
-    MST work is done once per signature instead of once per plan).
+    ``split_templates`` holds one split kernel per nest, shared by every
+    candidate plan's scheduling and window-size search: a split depends
+    on the statement's operands and the window map, never on the plan, so
+    the kernel's Kruskal memo computes each distinct MST once per compile.
     """
 
     def __init__(self) -> None:

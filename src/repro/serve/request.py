@@ -27,11 +27,13 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.partitioner import PREDICTORS
-from repro.errors import ConfigurationError, ServeError
+from repro.errors import ConfigurationError, ParseError, ServeError
 from repro.faults import FaultPlan
+from repro.ir.expr import AffineIndex
+from repro.ir.parser import parse_statement
 from repro.pipeline.passes import skip_set
 
 #: Canonical request schema version (bumped when the key format changes:
@@ -99,8 +101,9 @@ def _require_type(value, types, what: str):
     return value
 
 
-#: Loop bounds and steps lie strictly inside +/- this, so every bound and
-#: trip count fits the machine integer the compiler converts it to.
+#: Loop bounds and steps, and subscript coefficients and constants, lie
+#: strictly inside +/- this, so each fits the machine integer the compiler
+#: converts it to.
 _LOOP_INT_LIMIT = 2**61
 
 
@@ -117,6 +120,66 @@ def _loop_int(value, key: str) -> int:
     if abs(value) >= _LOOP_INT_LIMIT:
         raise ServeError(f"loop field {key!r} must lie within +/-2**61, got {value}")
     return value
+
+
+def _check_statement(text: str, arrays: Dict[str, int], loops: List[Dict]) -> None:
+    """Parse one inline body statement and check each of its references.
+
+    Inline arrays are 1-D and an inline program carries no index data, so
+    a reference names a declared array through at most one affine
+    subscript over the nest's loop variables.  Over the loop box (unless
+    it is empty) the subscript's smallest and largest values lie in
+    ``[0, size)``; they are computed exactly, taking each term at one end
+    of its loop's range.  Anything else raises :class:`ServeError`.
+    """
+    try:
+        statement = parse_statement(text)
+    except (ParseError, RecursionError) as exc:
+        raise ServeError(f"statement {text!r} does not parse: {exc}") from None
+    ends = {}
+    for loop in loops:
+        values = range(loop["start"], loop["stop"], loop["step"])
+        ends[loop["var"]] = (values[0], values[-1]) if values else None
+    empty = None in ends.values()
+    for ref in statement.refs():
+        size = arrays.get(ref.array)
+        if size is None:
+            raise ServeError(
+                f"statement {text!r} references undeclared array {ref.array!r}"
+            )
+        if len(ref.indices) > 1:
+            raise ServeError(
+                f"statement {text!r}: inline array {ref.array!r} is 1-D, "
+                f"got {len(ref.indices)} subscripts"
+            )
+        for index in ref.indices:
+            if not isinstance(index, AffineIndex):
+                raise ServeError(
+                    f"statement {text!r}: subscript {ref} is not affine "
+                    "(an inline program carries no index data)"
+                )
+            low = high = index.const
+            for var, coeff in index.coeffs:
+                if var not in ends:
+                    raise ServeError(
+                        f"statement {text!r}: {var!r} is not a loop variable "
+                        "of its nest"
+                    )
+                if not empty:
+                    first, last = (coeff * end for end in ends[var])
+                    low += min(first, last)
+                    high += max(first, last)
+            if not empty and (low < 0 or high >= size):
+                raise ServeError(
+                    f"statement {text!r}: subscript {ref} spans "
+                    f"[{low}, {high}], outside [0, {size})"
+                )
+            terms = [index.const] + [coeff for _, coeff in index.coeffs]
+            if any(abs(term) >= _LOOP_INT_LIMIT for term in terms):
+                raise ServeError(
+                    f"statement {text!r}: subscript {ref} has a coefficient "
+                    "or constant outside +/-2**61"
+                )
 
 
 def _canonical_program(spec: Dict) -> Dict:
@@ -173,15 +236,22 @@ def _canonical_program(spec: Dict) -> Dict:
                 raise ServeError(f"loop is missing field {exc}") from exc
             if canonical["step"] == 0:
                 raise ServeError(f"loop {canonical['var']!r} has zero step")
+            if any(loop["var"] == canonical["var"] for loop in canonical_loops):
+                raise ServeError(
+                    f"nest #{position} reuses loop variable {canonical['var']!r}"
+                )
             canonical_loops.append(canonical)
+        statements = [
+            _require_type(stmt, str, "nest body statement") for stmt in body
+        ]
+        for text in statements:
+            _check_statement(text, canonical_arrays, canonical_loops)
         canonical_nests.append({
             "name": _require_type(
                 nest.get("name", f"nest{position}"), str, "nest name"
             ),
             "loops": canonical_loops,
-            "body": [
-                _require_type(stmt, str, "nest body statement") for stmt in body
-            ],
+            "body": statements,
         })
     return {"name": name, "arrays": canonical_arrays, "nests": canonical_nests}
 

@@ -187,7 +187,7 @@ class TestBalancerChoice:
 
 
 class TestSplitCacheHit:
-    """The split memo is the nest's :class:`SplitTemplates` store."""
+    """The split memo is the nest's :class:`SplitTemplates` Kruskal memo."""
 
     def _scheduler_and_instances(self):
         machine = small_machine()
@@ -209,25 +209,25 @@ class TestSplitCacheHit:
 
     def test_fires_on_poisoned_cache_entry(self):
         scheduler, templates, instances = self._scheduler_and_instances()
-        first, second = instances[0], instances[1]
-        template = scheduler._split_of(first, None)  # store the template
-        (store,) = [s for s in templates._templates if s]
-        (signature,) = [k for k, v in store.items() if v is template]
-        # Neighbouring elements share a block, hence the signature: the
-        # second instance's split is a clone of the stored template.
-        assert scheduler._split_of(second, None).mst_edges == template.mst_edges
-        store[signature] = dataclasses.replace(
-            template, store_node=(template.store_node + 1) % 16
-        )
+        first, second, third = instances[:3]
+        scheduler._split_of(first, None)  # scalar: learns the skeleton
+        split = scheduler._split_of(second, None)  # fills the memo
+        (memo,) = [m for m in templates._memo if m]
+        (key,) = memo
+        # Neighbouring elements share a block, hence the memo key: the
+        # third instance reuses the second's Kruskal result.
+        assert scheduler._split_of(third, None).mst_edges is split.mst_edges
+        merges, mst_edges = memo[key]
+        memo[key] = (merges, mst_edges[:-1])
         with check.checking():
-            for instance in (first, second):  # the hit and the clone
+            for instance in (second, third):
                 with pytest.raises(CheckError, match="split cache divergence"):
                     scheduler._split_of(instance, None)
-        store[signature] = template  # restore: the clone is clean again
+        memo[key] = (merges, mst_edges)  # restore: the memo is clean again
         with check.checking():
-            clone = scheduler._split_of(second, None)
-        assert clone.instance is second
-        assert clone.store_node == template.store_node
+            clean = scheduler._split_of(third, None)
+        assert clean.instance is third
+        assert clean.mst_edges == mst_edges
 
 
 @dataclasses.dataclass

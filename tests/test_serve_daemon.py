@@ -29,13 +29,14 @@ from repro.serve.request import CompileRequest
 TINY = {"app": "tiny"}
 
 
-def inline_loop(**fields):
-    """An inline-program request whose one loop carries ``fields``."""
+def inline_loop(body="A(i) = B(i)", **fields):
+    """An inline-program request: one ``body`` statement in one loop that
+    carries ``fields``."""
     loop = {"var": "i", "start": 0, "stop": 16, **fields}
     return {
         "program": {
             "arrays": {"A": 64, "B": 64},
-            "nests": [{"loops": [loop], "body": ["A(i) = B(i)"]}],
+            "nests": [{"loops": [loop], "body": [body]}],
         }
     }
 
@@ -131,6 +132,26 @@ class TestHttpSurface:
             (inline_loop(stop=10**30), "must lie within"),
             (inline_loop(start=10**30, stop=10**30 + 4), "must lie within"),
             (inline_loop(step=0), "zero step"),
+            (inline_loop("A(i + 99999999999999999999) = B(i)"), "outside [0, 64)"),
+            (inline_loop("A(99999999999999999999*i) = B(i)"), "outside [0, 64)"),
+            (inline_loop(start=60, stop=70), "spans [60, 69], outside [0, 64)"),
+            (inline_loop(start=-5, stop=4), "spans [-5, 3], outside [0, 64)"),
+            (inline_loop("A(i) = C(i)"), "undeclared array 'C'"),
+            (inline_loop("A(i, i) = B(i)"), "is 1-D, got 2 subscripts"),
+            (inline_loop("A(B(i)) = B(i)"), "is not affine"),
+            (inline_loop("A(j) = B(i)"), "'j' is not a loop variable"),
+            (inline_loop("A(i) = = B(i)"), "does not parse"),
+            (inline_loop("A(99999999999999999999*i) = B(i)", stop=1), "outside +/-2**61"),
+            (
+                {"program": {
+                    "arrays": {"A": 64, "B": 64},
+                    "nests": [{
+                        "loops": [{"var": "i", "start": 0, "stop": 4}] * 2,
+                        "body": ["A(i) = B(i)"],
+                    }],
+                }},
+                "reuses loop variable 'i'",
+            ),
         ],
     )
     def test_retired_execution_fields_are_400(
