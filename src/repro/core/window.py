@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 
 from repro.arch.machine import Machine
@@ -364,21 +364,39 @@ class WindowScheduler:
         return [schedule.final_uid]
 
     def schedule_nest(
-        self, program: Program, nest: LoopNest, window_size: int
+        self,
+        program: Program,
+        nest: LoopNest,
+        window_size: int,
+        on_window: Optional[Callable[[WindowSchedule], bool]] = None,
     ) -> NestSchedule:
-        """Schedule a whole nest with a fixed window size."""
+        """Schedule a whole nest with a fixed window size.
+
+        ``on_window``, when given, sees each window as soon as it is
+        built, in program order.  A true return stops the nest there: the
+        schedule then holds only the windows built so far.
+        """
         if window_size < 1:
             raise SchedulingError(f"window size must be >= 1, got {window_size}")
         windows: List[WindowSchedule] = []
+        for window in self._windows(program, nest, window_size):
+            windows.append(window)
+            if on_window is not None and on_window(window):
+                break
+        return NestSchedule(nest.name, window_size, windows)
+
+    def _windows(
+        self, program: Program, nest: LoopNest, window_size: int
+    ) -> Iterator[WindowSchedule]:
+        """The nest's windows, each scheduled when it is asked for."""
         buffer: List[StatementInstance] = []
         for instance in program.nest_instances(nest, program.seq_base_of(nest)):
             buffer.append(instance)
             if len(buffer) == window_size:
-                windows.append(self.schedule_window(buffer))
+                yield self.schedule_window(buffer)
                 buffer = []
         if buffer:
-            windows.append(self.schedule_window(buffer))
-        return NestSchedule(nest.name, window_size, windows)
+            yield self.schedule_window(buffer)
 
 
 @dataclass
@@ -426,15 +444,24 @@ class WindowSizeSearch:
         # Forwarded to every trial scheduler (inline-pass gating).
         self._session = session
 
-    def search(self, program: Program, nest: LoopNest) -> SearchOutcome:
+    def search(
+        self,
+        program: Program,
+        nest: LoopNest,
+        on_window: Optional[Callable[[WindowSchedule], bool]] = None,
+    ) -> SearchOutcome:
         """Try window sizes 1..8, keep the one minimizing data movement.
 
         Candidate sizes are measured on a leading sample of the nest's
         instance stream (loop bodies repeat, so the prefix is
-        representative); the winning size then schedules the whole nest.
+        representative); the winning size then schedules the whole nest,
+        passing each window to ``on_window``
+        (:meth:`WindowScheduler.schedule_nest`).
         """
         sampled = self.search_sample(program, nest, SEARCH_SAMPLE_INSTANCES)
-        final = self._scheduler().schedule_nest(program, nest, sampled.best_size)
+        final = self._scheduler().schedule_nest(
+            program, nest, sampled.best_size, on_window=on_window
+        )
         return SearchOutcome(
             nest.name, sampled.best_size, final, sampled.movement_by_size
         )

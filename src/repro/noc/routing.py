@@ -167,12 +167,7 @@ class Router:
         epoch are no longer valid.
         """
         self.dead_nodes = frozenset(dead_nodes)
-        dead = set(dead_links)
-        for node in self.dead_nodes:
-            for neighbor in self.mesh.neighbors(node):
-                dead.add((node, neighbor))
-                dead.add((neighbor, node))
-        self.dead_links = frozenset(dead)
+        self.dead_links = self._implied_links(dead_links, self.dead_nodes)
         self._cache.clear()
         self.epoch += 1
         if check.enabled():
@@ -182,6 +177,24 @@ class Router:
 
             check_router_distances(self)
         return self.epoch
+
+    def holds(self, dead_links: Iterable[LinkId], dead_nodes: Iterable[int]) -> bool:
+        """True when ``set_faults(dead_links, dead_nodes)`` would change nothing."""
+        nodes = frozenset(dead_nodes)
+        return nodes == self.dead_nodes and (
+            self._implied_links(dead_links, nodes) == self.dead_links
+        )
+
+    def _implied_links(
+        self, dead_links: Iterable[LinkId], dead_nodes: FrozenSet[int]
+    ) -> FrozenSet[LinkId]:
+        """``dead_links`` plus every link touching a dead node."""
+        dead = set(dead_links)
+        for node in dead_nodes:
+            for neighbor in self.mesh.neighbors(node):
+                dead.add((node, neighbor))
+                dead.add((neighbor, node))
+        return frozenset(dead)
 
     def alive(self, node: int) -> bool:
         return node not in self.dead_nodes

@@ -39,7 +39,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Tuple
+from typing import Dict, FrozenSet, Iterable, Optional, Tuple
 
 from repro import check
 from repro.cache.predictor import HitMissPredictor
@@ -332,7 +332,8 @@ class SchedulePass(Pass):
                 outcome = schedule_plan(plan)
             else:
                 plan, variant, outcome = self._choose_nest_plan(
-                    session, nest, split_plan, profiles, predictor, schedule_plan
+                    session, nest, split_plan, profiles, predictor,
+                    schedule_plan, streaming=templates is not None,
                 )
             chosen_plan.update(plan)
             variant_by_nest[nest.name] = variant
@@ -378,15 +379,19 @@ class SchedulePass(Pass):
         uid_counter,
         templates,
         plan: Dict,
+        on_window=None,
     ) -> SearchOutcome:
         """Schedule the whole nest under one split plan.
 
         A plan that splits something gets §4.4's window-size search when
         the window is adaptive; any other plan runs at size 1, or at the
-        configured fixed size.  Every plan draws its uids from the
-        compilation's one counter, so uids stay unique across nests and
-        candidate plans; consumers (the simulator's heap and last-writer
-        scan, sync graphs) depend only on their relative order.
+        configured fixed size.  ``on_window`` sees each window of the
+        nest's schedule as it is built and may stop it
+        (:meth:`WindowScheduler.schedule_nest`).  Every plan draws its
+        uids from the compilation's one counter, so uids stay unique
+        across nests and candidate plans; consumers (the simulator's heap
+        and last-writer scan, sync graphs) depend only on their relative
+        order.
         """
         config = session.config
         shared = dict(
@@ -399,11 +404,11 @@ class SchedulePass(Pass):
         if config.adaptive_window and any(plan.values()):
             return WindowSizeSearch(
                 session.machine, locator, config.window, **shared
-            ).search(program, nest)
+            ).search(program, nest, on_window=on_window)
         size = 1 if config.adaptive_window else config.fixed_window_size
         schedule = WindowScheduler(
             session.machine, locator, config.window, **shared
-        ).schedule_nest(program, nest, size)
+        ).schedule_nest(program, nest, size, on_window=on_window)
         return SearchOutcome(nest.name, size, schedule, {size: schedule.movement})
 
     def _choose_nest_plan(
@@ -414,6 +419,7 @@ class SchedulePass(Pass):
         profiles: Dict,
         predictor,
         schedule_plan,
+        streaming: bool,
     ) -> Tuple[Dict, str, SearchOutcome]:
         """Pick the nest's split plan empirically (the gate).
 
@@ -426,6 +432,12 @@ class SchedulePass(Pass):
         plans the fastest wins, and the schedule it was measured with is
         the one that ships.  The all-star plan is always a candidate, so a
         partitioned build never regresses a nest below the baseline.
+
+        With ``streaming`` (the nest has split templates, so its tables are
+        translated and its predictor is pure), each splitting candidate's
+        windows go into a simulator as they are built, and the candidate
+        stops as soon as :func:`gate_bound` proves it cannot be accepted
+        (:class:`_GateStream`).
         """
         keys = [(nest.name, b) for b in range(nest.body_size)]
         star = {key: False for key in keys}
@@ -459,14 +471,20 @@ class SchedulePass(Pass):
             cycles=best_cycles,
             movement=star_movement,
         )
+        movement_cap = GATE_MOVEMENT_TOLERANCE * max(star_movement, 1)
         best_plan = star
         best_variant = "star"
         for variant, plan in candidates:
-            outcome = schedule_plan(plan)
-            cycles, movement = self._simulate(machine, outcome.best_schedule)
-            accepted = (
-                cycles < best_cycles
-                and movement <= GATE_MOVEMENT_TOLERANCE * max(star_movement, 1)
+            stop = None
+            if streaming:
+                stream = _GateStream(machine, movement_cap, best_cycles)
+                outcome = schedule_plan(plan, on_window=stream)
+                cycles, movement, stop = stream.result(outcome.best_schedule)
+            else:
+                outcome = schedule_plan(plan)
+                cycles, movement = self._simulate(machine, outcome.best_schedule)
+            accepted = stop is None and _wins(
+                cycles, movement, best_cycles, movement_cap
             )
             tracer.point(
                 "gate.candidate",
@@ -475,12 +493,14 @@ class SchedulePass(Pass):
                 cycles=cycles,
                 movement=movement,
                 accepted=accepted,
+                **(stop or {}),
             )
             if accepted:
                 best_cycles = cycles
                 best_plan = plan
                 best_variant = variant
                 best = outcome
+            outcome = None
         tracer.point(
             "gate.verdict", nest=nest.name, variant=best_variant, cycles=best_cycles
         )
@@ -491,7 +511,7 @@ class SchedulePass(Pass):
         # advanced: its winner is scheduled once more, against the full
         # history.  The measured schedules are dropped first, so the new
         # one is the only nest schedule alive while it is built.
-        best = outcome = None
+        best = None
         return best_plan, best_variant, schedule_plan(best_plan)
 
     @staticmethod
@@ -499,13 +519,114 @@ class SchedulePass(Pass):
         """(cycles, movement) of one nest schedule on the event simulator."""
         from repro.sim.engine import SimConfig, Simulator
 
-        units = [
-            sub
-            for statement_schedule in schedule.statement_schedules()
-            for sub in statement_schedule.subcomputations
-        ]
-        metrics = Simulator(machine, SimConfig()).run(units)
+        metrics = Simulator(machine, SimConfig()).run(_units_of(schedule.windows))
         return metrics.total_cycles, metrics.data_movement
+
+
+def _units_of(windows) -> list:
+    """Every unit of ``windows``, in program order."""
+    return [
+        sub
+        for window in windows
+        for statement_schedule in window.schedules
+        for sub in statement_schedule.subcomputations
+    ]
+
+
+def _wins(
+    cycles: float, movement: int, best_cycles: float, movement_cap: float
+) -> bool:
+    """The gate's acceptance test: faster, without flooding the network."""
+    return cycles < best_cycles and movement <= movement_cap
+
+
+def gate_bound(
+    movement: int, latest_finish: float, movement_cap: float, best_cycles: float
+) -> Optional[str]:
+    """The bound a candidate's running totals have crossed, or ``None``.
+
+    Movement and the latest finish time only grow as units run, so a
+    candidate whose prefix has moved more than ``movement_cap``
+    (``"movement"``), or has a unit finishing at or after the best cycles
+    so far (``"cycles"``), can never be accepted.
+    """
+    if movement > movement_cap:
+        return "movement"
+    if latest_finish >= best_cycles:
+        return "cycles"
+    return None
+
+
+class _GateStream:
+    """One candidate's schedule, simulated window by window as it is built.
+
+    Called with each window (the ``on_window`` of
+    :meth:`WindowScheduler.schedule_nest`): it feeds the window's units to
+    a fresh :class:`~repro.sim.engine.Simulator` and asks
+    :func:`gate_bound` whether the prefix already loses; a true return
+    stops the schedule there.  In check mode nothing stops: the stream
+    records where it would have stopped, runs to the end, and
+    :meth:`result` requires the candidate to lose and the streamed totals
+    to equal ``Simulator.run`` over the complete schedule.
+    """
+
+    def __init__(self, machine, movement_cap: float, best_cycles: float):
+        from repro.sim.engine import SimConfig, Simulator
+
+        self.machine = machine
+        self.simulator = Simulator(machine, SimConfig())
+        self.movement_cap = movement_cap
+        self.best_cycles = best_cycles
+        self.units = 0
+        #: The first bound crossed, as (units fed, bound, cycles, movement).
+        self.stop: Optional[Tuple[int, str, float, int]] = None
+
+    def __call__(self, window) -> bool:
+        simulator = self.simulator
+        units = _units_of((window,))
+        simulator.feed(units)
+        self.units += len(units)
+        if self.stop is None:
+            movement = simulator.metrics.data_movement
+            cycles = simulator.latest_finish
+            bound = gate_bound(movement, cycles, self.movement_cap, self.best_cycles)
+            if bound is not None:
+                self.stop = (self.units, bound, cycles, movement)
+        return self.stop is not None and not check.enabled()
+
+    def result(self, schedule) -> Tuple[float, int, Optional[Dict]]:
+        """(cycles, movement, stop fields) of the candidate.
+
+        A stopped candidate reports its partial cycles and movement at the
+        stop, and the ``stopped_after_units`` and ``bound`` trace fields.
+        """
+        if self.stop is None or check.enabled():
+            metrics = self.simulator.finish()
+            cycles, movement = metrics.total_cycles, metrics.data_movement
+            if check.enabled():
+                self._check(schedule, cycles, movement)
+            if self.stop is None:
+                return cycles, movement, None
+        units, bound, cycles, movement = self.stop
+        return cycles, movement, {"stopped_after_units": units, "bound": bound}
+
+    def _check(self, schedule, cycles: float, movement: int) -> None:
+        """Check mode: the stream is exact, and a stop only drops a loser."""
+        batch = SchedulePass._simulate(self.machine, schedule)
+        invariants.require(
+            (cycles, movement) == batch,
+            f"streamed gate simulation gave {(cycles, movement)}, "
+            f"Simulator.run gave {batch}",
+        )
+        if self.stop is not None:
+            units, bound = self.stop[:2]
+            invariants.require(
+                not _wins(cycles, movement, self.best_cycles, self.movement_cap),
+                f"the gate stopped a candidate at its {bound} bound after "
+                f"{units} units, but it wins: cycles {cycles} against "
+                f"{self.best_cycles}, movement {movement} against "
+                f"{self.movement_cap}",
+            )
 
 
 @register_pass

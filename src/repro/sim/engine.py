@@ -68,7 +68,20 @@ class SimConfig:
 
 
 class Simulator:
-    """Runs one schedule on one machine."""
+    """Runs one schedule on one machine.
+
+    A simulator is one-shot.  ``run(units)`` simulates a whole schedule;
+    it is :meth:`feed` of every unit followed by :meth:`finish`.  A
+    schedule can also be fed in batches, each of whose seqs all come
+    after every seq fed before (the empirical gate feeds one window at a
+    time).  Every dependence arc points to the same or a later seq, and
+    the ready heap pops by ``(seq, uid)``, so a run finishes every unit
+    of seq ``< S`` before it starts one of seq ``>= S``: draining the
+    heap after each batch pops the same units in the same order as one
+    batch run.  Between feeds, ``metrics.data_movement`` and
+    :attr:`latest_finish` read the totals of the units fed so far; both
+    only grow.
+    """
 
     def __init__(self, machine: Machine, config: SimConfig = SimConfig()):
         self.machine = machine
@@ -97,6 +110,61 @@ class Simulator:
             self._distance = machine.router.hops
         else:
             self._distance = self._manhattan
+
+        # -- run state, kept across feeds ----------------------------------
+        self.metrics = SimMetrics()
+        #: Latest finish time of any unit run so far (the run's cycles
+        #: once every unit has run).
+        self.latest_finish = 0.0
+        self._started = False
+        self._last_seq: Optional[int] = None
+        self._by_uid: Dict[int, Subcomputation] = {}
+        # Dependence arcs of units not yet run: preds (producer uid,
+        # is_memory) and succs; a unit's entries go once it has run.
+        self._preds: Dict[int, List[Tuple[int, bool]]] = {}
+        self._succs: Dict[int, List[int]] = {}
+        self._indegree: Dict[int, int] = {}
+        self._ready: List[Tuple[int, int]] = []
+        self._finish: Dict[int, float] = {}
+        # The last-writer scan's state (memory arcs of later batches).
+        self._last_writer: Dict[Tuple[str, int], int] = {}
+        self._readers: Dict[Tuple[str, int], List[int]] = {}
+        # Each node is a K-context server (SMT): a unit occupies the
+        # earliest-free context; waits for remote results overlap with
+        # other contexts' work.
+        self._node_ctx: Dict[int, List[float]] = {}
+        self._processed = 0
+        self._statement_count = 0
+        self._weighted_ops = 0
+        # -- fault state (only consulted when a non-empty plan is applied).
+        # ``dead_*`` track the faults active *so far* (static + activated
+        # mid-run events); ``exec_node`` records where each unit actually
+        # ran, which differs from unit.node for relocated units.
+        self._pending_faults: List = []
+        self._dead_nodes: Set[int] = set()
+        self._dead_links: Set[Tuple[int, int]] = set()
+        self._relocation: Dict[int, int] = {}
+        self._exec_node: Dict[int, int] = {}
+
+    def _start(self) -> None:
+        """Cold machine-side state for this run (on the first feed).
+
+        Every run starts from cold memory-side (MCDRAM) cache tags, as it
+        does from fresh L1 and L2 caches, and from the plan's static
+        faults, whatever an earlier simulation on the same machine left
+        behind.  Only a run with mid-run faults changes the router, so a
+        plan without them never reinstalls (and keeps its route cache).
+        """
+        self._started = True
+        machine = self.machine
+        machine.mcdram.reset()
+        if self._fault_mode:
+            plan = machine.faults
+            self._pending_faults = plan.midrun_events()
+            self._dead_nodes = set(plan.static_dead_nodes())
+            self._dead_links = set(plan.static_dead_links())
+            if not machine.router.holds(self._dead_links, self._dead_nodes):
+                machine.router.set_faults(self._dead_links, self._dead_nodes)
 
     # -- network helpers ----------------------------------------------------
 
@@ -189,20 +257,29 @@ class Simulator:
     # -- dependence construction ---------------------------------------------
 
     @staticmethod
-    def _memory_arcs(units: Sequence[Subcomputation]) -> List[Tuple[int, int, bool]]:
+    def _memory_arcs(
+        units: Sequence[Subcomputation],
+        last_writer: Optional[Dict[Tuple[str, int], int]] = None,
+        readers: Optional[Dict[Tuple[str, int], List[int]]] = None,
+    ) -> List[Tuple[int, int, bool]]:
         """(producer uid, consumer uid, is_flow) arcs from a last-writer scan.
 
         Units are scanned in program order by statement instance (seq).
         Within one instance, *all* reads happen before the write — statement
         semantics — regardless of unit creation order (folding can give the
-        final store a lower uid than the units feeding it).
+        final store a lower uid than the units feeding it).  ``last_writer``
+        and ``readers`` carry the scan across calls: scanning a schedule
+        batch by batch, each batch's seqs after the last's, gives the arcs
+        of one scan over the whole schedule.
         """
         by_seq: Dict[int, List[Subcomputation]] = {}
         for unit in units:
             by_seq.setdefault(unit.seq, []).append(unit)
         arcs: List[Tuple[int, int, bool]] = []
-        last_writer: Dict[Tuple[str, int], int] = {}
-        readers: Dict[Tuple[str, int], List[int]] = {}
+        if last_writer is None:
+            last_writer = {}
+        if readers is None:
+            readers = {}
         for seq in sorted(by_seq):
             group = sorted(by_seq[seq], key=lambda u: u.uid)
             for unit in group:  # reads of the whole instance first
@@ -228,26 +305,26 @@ class Simulator:
 
     # -- fault handling ------------------------------------------------------
 
-    def _activate_faults(
-        self, pending, processed, dead_links, dead_nodes, relocation, metrics
-    ) -> None:
+    def _activate_faults(self, processed: int) -> None:
         """Apply every mid-run fault whose activation epoch has passed.
 
-        Mutates the caller's live ``dead_links`` / ``dead_nodes`` sets,
-        clears the relocation targets (they were chosen against the old
-        fault set), and installs the new configuration into the machine's
-        router — which bumps the fault epoch and drops the detour cache.
+        Grows the live dead-link / dead-node sets, clears the relocation
+        targets (they were chosen against the old fault set), and installs
+        the new configuration into the machine's router — which bumps the
+        fault epoch and drops the detour cache.  The next run on this
+        machine reinstalls the static faults (:meth:`_start`).
         """
         from repro.faults.plan import NodeFault
 
         tracer = get_tracer()
+        pending = self._pending_faults
         while pending and processed >= pending[0][0]:
             at_unit, fault = pending.pop(0)
             if isinstance(fault, NodeFault):
-                dead_nodes.add(fault.node)
+                self._dead_nodes.add(fault.node)
             else:
-                dead_links.update(fault.directed())
-            metrics.fault_events += 1
+                self._dead_links.update(fault.directed())
+            self.metrics.fault_events += 1
             if tracer.enabled:
                 tracer.point(
                     "fault.activate",
@@ -255,14 +332,16 @@ class Simulator:
                     units_done=processed,
                     fault=repr(fault),
                 )
-        relocation.clear()
-        self.machine.router.set_faults(dead_links, dead_nodes)
+        self._relocation.clear()
+        self.machine.router.set_faults(self._dead_links, self._dead_nodes)
 
-    def _relocate(self, unit, dead_nodes, relocation, metrics) -> int:
+    def _relocate(self, unit) -> int:
         """Nearest surviving tile for a unit whose home tile is offline."""
         node = unit.node
+        relocation = self._relocation
         target = relocation.get(node)
         if target is None:
+            dead_nodes = self._dead_nodes
             alive = [
                 n for n in range(self.machine.node_count) if n not in dead_nodes
             ]
@@ -271,7 +350,7 @@ class Simulator:
             distance = self._manhattan
             target = min(alive, key=lambda n: (distance(node, n), n))
             relocation[node] = target
-        metrics.fault_relocations += 1
+        self.metrics.fault_relocations += 1
         tracer = get_tracer()
         if tracer.enabled:
             tracer.point("fault.relocate", uid=unit.uid, src=node, dst=target)
@@ -282,32 +361,81 @@ class Simulator:
     def run(self, units: Sequence[Subcomputation]) -> SimMetrics:
         """Simulate ``units``; returns the filled :class:`SimMetrics`.
 
-        Every run starts from cold memory-side (MCDRAM) cache tags, as it
-        does from fresh L1 and L2 caches, whatever an earlier simulation
-        on the same machine left behind.
-
         With tracing enabled (:mod:`repro.obs`), the run is wrapped in a
         ``sim.run`` span with periodic ``sim.epoch`` counter snapshots;
         tracing reads counters only and never alters the simulation.
         """
-        self.machine.mcdram.reset()
-        metrics = SimMetrics()
-        if not units:
-            return metrics
-        if check.enabled():
-            # Check mode: the schedule must be a well-formed dependence DAG
-            # before a single event is simulated.
-            invariants.check_units_wellformed(units)
-        tracer = get_tracer()
-        trace_on = tracer.enabled
-        sim_span = tracer.span("sim.run", units=len(units)) if trace_on else None
-        by_uid: Dict[int, Subcomputation] = {u.uid: u for u in units}
-        if len(by_uid) != len(units):
-            raise SimulationError("duplicate subcomputation uids in schedule")
+        sim_span = None
+        if units:
+            if check.enabled():
+                # Check mode: the schedule must be a well-formed dependence
+                # DAG before a single event is simulated.
+                invariants.check_units_wellformed(units)
+            tracer = get_tracer()
+            if tracer.enabled:
+                sim_span = tracer.span("sim.run", units=len(units))
+        self.feed(units)
+        metrics = self.finish()
+        if sim_span is not None:
+            sim_span.add(
+                cycles=metrics.total_cycles,
+                movement=metrics.data_movement,
+                l1_hit_rate=round(metrics.l1_hit_rate(), 6),
+                l2_hit_rate=round(metrics.l2_hit_rate(), 6),
+                syncs=metrics.sync_count,
+                energy_pj=metrics.energy_pj,
+            )
+            sim_span.end()
+        return metrics
 
-        # Dependence arcs: dataflow (sub_results) + memory order.
-        preds: Dict[int, List[Tuple[int, bool]]] = {u.uid: [] for u in units}
-        succs: Dict[int, List[int]] = {u.uid: [] for u in units}
+    def feed(self, units: Sequence[Subcomputation]) -> None:
+        """Add a batch of units and run until the ready heap drains.
+
+        Every seq in ``units`` must come after every seq fed before; a
+        batch that does not raises :class:`SimulationError`.  The batch's
+        memory arcs continue the last-writer scan, and every unit fed so
+        far has run when this returns (unless a dependence cycle, which
+        :meth:`finish` reports, holds some back).
+        """
+        if not self._started:
+            self._start()
+        if not units:
+            return
+        first = min(unit.seq for unit in units)
+        if self._last_seq is not None and first <= self._last_seq:
+            raise SimulationError(
+                f"fed seq {first} after seq {self._last_seq}: each batch "
+                "must follow every seq fed before"
+            )
+        self._last_seq = max(unit.seq for unit in units)
+        by_uid = self._by_uid
+        preds = self._preds
+        succs = self._succs
+        indegree = self._indegree
+        done = self._finish
+        statements = set()
+        weighted_ops = self._weighted_ops
+        for unit in units:
+            uid = unit.uid
+            if uid in by_uid:
+                raise SimulationError("duplicate subcomputation uids in schedule")
+            by_uid[uid] = unit
+            preds[uid] = []
+            succs[uid] = []
+            indegree[uid] = 0
+            statements.add(unit.seq)
+            weighted_ops += unit.cost
+        self._weighted_ops = weighted_ops
+        self._statement_count += len(statements)
+
+        # Dependence arcs: dataflow (sub_results) + memory order.  A
+        # producer that already ran only lends its finish time.
+        def arc(producer: int, consumer: int, is_memory: bool) -> None:
+            preds[consumer].append((producer, is_memory))
+            if producer not in done:
+                succs[producer].append(consumer)
+                indegree[consumer] += 1
+
         for unit in units:
             for result in unit.sub_results:
                 if result.producer_uid not in by_uid:
@@ -315,27 +443,23 @@ class Simulator:
                         f"unit {unit.uid} consumes unknown producer "
                         f"{result.producer_uid}"
                     )
-                preds[unit.uid].append((result.producer_uid, False))
-                succs[result.producer_uid].append(unit.uid)
-        for producer, consumer, _is_flow in self._memory_arcs(units):
-            if producer in by_uid and consumer in by_uid:
-                preds[consumer].append((producer, True))
-                succs[producer].append(consumer)
+                arc(result.producer_uid, unit.uid, False)
+        for producer, consumer, _is_flow in self._memory_arcs(
+            units, self._last_writer, self._readers
+        ):
+            arc(producer, consumer, True)
 
-        indegree = {uid: len(pred) for uid, pred in preds.items()}
-        ready = [
-            (by_uid[uid].seq, uid) for uid, degree in indegree.items() if degree == 0
-        ]
+        ready = self._ready
+        ready.extend((unit.seq, unit.uid) for unit in units if not indegree[unit.uid])
         heapq.heapify(ready)
+        self._drain()
 
-        # Each node is a K-context server (SMT): a unit occupies the
-        # earliest-free context; waits for remote results overlap with other
-        # contexts' work.
+    def _drain(self) -> None:
+        """Run ready units in ``(seq, uid)`` order until the heap is empty."""
+        tracer = get_tracer()
+        trace_on = tracer.enabled
         config = self.config
         contexts = max(config.contexts_per_node, 1)
-        node_ctx: Dict[int, List[float]] = {}
-        finish: Dict[int, float] = {}
-        processed = 0
         sync_cost = config.sync_cycles + config.extra_sync_cycles
         mlp = max(config.memory_level_parallelism, 1.0)
         cycles_per_op = config.cycles_per_op
@@ -344,44 +468,39 @@ class Simulator:
         access = self._access
         message = self._message
         heappush = heapq.heappush
-        seqs: Set[int] = set()
-
-        # -- fault state (only consulted when a non-empty plan is applied).
-        # ``dead_*`` track the faults active *so far* (static + activated
-        # mid-run events); ``exec_node`` records where each unit actually
-        # ran, which differs from unit.node for relocated units.
+        heappop = heapq.heappop
+        metrics = self.metrics
+        ready = self._ready
+        by_uid = self._by_uid
+        preds = self._preds
+        succs = self._succs
+        indegree = self._indegree
+        finish = self._finish
+        node_ctx = self._node_ctx
+        processed = self._processed
+        latest = self.latest_finish
         fault_mode = self._fault_mode
-        pending_faults: List = []
-        dead_nodes: Set[int] = set()
-        dead_links: Set[Tuple[int, int]] = set()
-        relocation: Dict[int, int] = {}
-        exec_node: Dict[int, int] = {}
-        if fault_mode:
-            plan = self.machine.faults
-            pending_faults = plan.midrun_events()
-            dead_nodes = set(plan.static_dead_nodes())
-            dead_links = set(plan.static_dead_links())
+        pending_faults = self._pending_faults
+        dead_nodes = self._dead_nodes
+        exec_node = self._exec_node
 
         while ready:
-            _, uid = heapq.heappop(ready)
+            _, uid = heappop(ready)
             unit = by_uid[uid]
             node = unit.node
             seq = unit.seq
-            seqs.add(seq)
+            del indegree[uid]
             if fault_mode:
                 if pending_faults and processed >= pending_faults[0][0]:
-                    self._activate_faults(
-                        pending_faults, processed, dead_links, dead_nodes,
-                        relocation, metrics,
-                    )
+                    self._activate_faults(processed)
                 if node in dead_nodes:
                     # Graceful degradation: the unit's home tile died; rerun
                     # it on the nearest surviving tile instead of crashing.
-                    node = self._relocate(
-                        unit, dead_nodes, relocation, metrics
-                    )
+                    node = self._relocate(unit)
                 exec_node[uid] = node
-            servers = node_ctx.setdefault(node, [0.0] * contexts)
+            servers = node_ctx.get(node)
+            if servers is None:
+                servers = node_ctx[node] = [0.0] * contexts
 
             # When are this unit's inputs all present?
             input_ready = 0.0
@@ -403,7 +522,7 @@ class Simulator:
             # needs a point-to-point synchronization (the consumer spins on
             # the producer's flag); anti/output order is enforced by the
             # same wait but carries no data.
-            for producer_uid, is_memory in preds[uid]:
+            for producer_uid, is_memory in preds.pop(uid):
                 if not is_memory:
                     continue
                 producer = by_uid[producer_uid]
@@ -457,6 +576,8 @@ class Simulator:
             compute_time = unit.cost * cycles_per_op * compute_scale
             end = start + access_time + compute_time + per_unit_overhead
             finish[uid] = end
+            if end > latest:
+                latest = end
             servers[slot] = end
             metrics.op_count += unit.op_count
             metrics.compute_cycles += compute_time
@@ -473,31 +594,44 @@ class Simulator:
                     syncs=metrics.sync_count,
                 )
 
-            for successor in succs[uid]:
+            for successor in succs.pop(uid):
                 indegree[successor] -= 1
                 if indegree[successor] == 0:
                     heappush(ready, (by_uid[successor].seq, successor))
 
-        if processed != len(units):
-            raise SimulationError(
-                f"schedule has a dependence cycle: ran {processed} of {len(units)} units"
-            )
+        self._processed = processed
+        self.latest_finish = latest
 
-        metrics.total_cycles = max(finish.values(), default=0.0)
-        metrics.unit_count = len(units)
-        metrics.statement_count = len(seqs)
+    def finish(self) -> SimMetrics:
+        """Fill the run's totals once every batch is fed; returns the metrics.
+
+        Raises :class:`SimulationError` when a dependence cycle kept some
+        unit from running.  In check mode, the per-link and per-statement
+        decompositions must re-sum to the headline movement.
+        """
+        metrics = self.metrics
+        unit_count = len(self._by_uid)
+        if not unit_count:
+            return metrics
+        if self._processed != unit_count:
+            raise SimulationError(
+                f"schedule has a dependence cycle: ran {self._processed} of "
+                f"{unit_count} units"
+            )
+        metrics.total_cycles = self.latest_finish
+        metrics.unit_count = unit_count
+        metrics.statement_count = self._statement_count
         metrics.network_messages = self.network.message_count()
         metrics.network_avg_latency = self.network.average_latency()
         metrics.network_max_latency = self.network.max_latency()
         metrics.max_link_load = self.network.traffic.max_link_load()
 
-        weighted_ops = sum(u.cost for u in units)
         breakdown = self.energy_model.compute(
             flit_hops=self.network.traffic.total_flit_hops,
             l1_accesses=metrics.l1_hits + metrics.l1_misses,
             l2_accesses=metrics.l2_hits + metrics.l2_misses,
             memory_energy_pj=metrics.energy_breakdown.get("memory", 0.0),
-            weighted_ops=weighted_ops,
+            weighted_ops=self._weighted_ops,
             syncs=metrics.sync_count,
             cycles=metrics.total_cycles,
         )
@@ -508,16 +642,6 @@ class Simulator:
             # Conservation: per-link and per-statement decompositions must
             # re-sum exactly to the headline DataMovement metric.
             invariants.check_heatmap_conservation(metrics)
-        if sim_span is not None:
-            sim_span.add(
-                cycles=metrics.total_cycles,
-                movement=metrics.data_movement,
-                l1_hit_rate=round(metrics.l1_hit_rate(), 6),
-                l2_hit_rate=round(metrics.l2_hit_rate(), 6),
-                syncs=metrics.sync_count,
-                energy_pj=metrics.energy_pj,
-            )
-            sim_span.end()
         return metrics
 
 

@@ -370,6 +370,43 @@ def test_midrun_node_death_relocates_units():
     assert sum(metrics.link_flits.values()) == metrics.data_movement
 
 
+def test_midrun_fault_does_not_leak_into_the_next_run():
+    # Each run starts from the plan's static faults: the tile that died
+    # mid-run in the gate's simulations (or in the previous run) is alive
+    # again when the next run starts.
+    from repro.benchmarks.perf import tiny_app
+
+    healthy = small_machine()
+    plan = random_plan(
+        4, 4, seed=2, link_count=1, node_count=1,
+        protected_nodes=_protected(healthy), midrun_node_at=20,
+    )
+    session = session_for(healthy, faults=plan)
+    units = compile_program(tiny_app(), session).units()
+    machine = session.machine
+    first = Simulator(machine, SimConfig()).run(units)
+    second = Simulator(machine, SimConfig()).run(units)
+    machine.router.set_faults(plan.static_dead_links(), plan.static_dead_nodes())
+    reinstalled = Simulator(machine, SimConfig()).run(units)
+    assert first.fault_events == 1
+    assert first.to_dict() == second.to_dict() == reinstalled.to_dict()
+
+
+def test_static_plan_never_reinstalls_faults(monkeypatch):
+    # Without mid-run events no run changes the router, so none resets it
+    # (the detour route cache survives from run to run).
+    machine = small_machine()
+    units = _tiny_units(machine)
+    machine.apply_faults(_seeded_plan(machine))
+    calls = []
+    monkeypatch.setattr(
+        machine.router, "set_faults", lambda *args: calls.append(args)
+    )
+    for _ in range(2):
+        Simulator(machine, SimConfig()).run(units)
+    assert calls == []
+
+
 # -- reporting -------------------------------------------------------------
 
 

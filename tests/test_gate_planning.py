@@ -1,13 +1,23 @@
 """Tests for the empirical gate and plan selection in the partitioner."""
 
+import io
+import json
+
+import pytest
+
+from repro import check
 from repro.arch.knl import small_machine
+from repro.benchmarks.perf import tiny_app
 from repro.cache.predictor import HitMissPredictor
 from repro.core.partitioner import PartitionConfig
 from repro.core.window import WindowConfig, WindowScheduler
+from repro.errors import CheckError
 from repro.ir.loop import Loop, LoopNest
 from repro.ir.parser import parse_statement
 from repro.ir.program import Program
-from repro.pipeline import compile_program, session_for
+from repro.obs.tracer import tracing
+from repro.pipeline import compile_program, passes, session_for
+from repro.sim.engine import SimConfig, Simulator
 
 
 def gate_program():
@@ -73,16 +83,28 @@ class TestOneSchedulingPath:
     the schedule it simulated."""
 
     def _compile(self, monkeypatch, predictor, config=PartitionConfig()):
-        """(window sizes passed to schedule_nest, simulated schedules, result)."""
+        """(window sizes passed to schedule_nest, measured schedules,
+        streamed schedules, result).
+
+        The gate measures a schedule either whole (``_simulate``) or by
+        streaming its windows into a simulator as they are built (an
+        ``on_window`` callback); ``measured`` holds both kinds.
+        """
         from repro.pipeline.passes import SchedulePass
 
-        sizes, measured = [], []
+        sizes, measured, streamed = [], [], []
         schedule_nest = WindowScheduler.schedule_nest
         simulate = SchedulePass._simulate
 
-        def counting_schedule_nest(self, program, nest, window_size):
+        def counting_schedule_nest(self, program, nest, window_size, on_window=None):
             sizes.append(window_size)
-            return schedule_nest(self, program, nest, window_size)
+            schedule = schedule_nest(
+                self, program, nest, window_size, on_window=on_window
+            )
+            if on_window is not None:
+                measured.append(schedule)
+                streamed.append(schedule)
+            return schedule
 
         def counting_simulate(machine, schedule):
             measured.append(schedule)
@@ -95,11 +117,14 @@ class TestOneSchedulingPath:
             session_for(small_machine(), config),
             initial={"predictor": predictor},
         )
-        return sizes, measured, result
+        return sizes, measured, streamed, result
 
     def test_pure_predictor_schedules_each_candidate_once(self, monkeypatch):
-        sizes, measured, result = self._compile(monkeypatch, HitMissPredictor())
+        sizes, measured, streamed, result = self._compile(
+            monkeypatch, HitMissPredictor()
+        )
         assert len(measured) == 2  # all-star plus one splitting plan
+        assert len(streamed) == 1  # the splitting plan streams
         assert len(sizes) == len(measured)
         assert any(result.nest_schedules["main"] is s for s in measured)
 
@@ -107,8 +132,9 @@ class TestOneSchedulingPath:
         class _Stateful(HitMissPredictor):
             pure_predict = False
 
-        sizes, measured, result = self._compile(monkeypatch, _Stateful())
+        sizes, measured, streamed, result = self._compile(monkeypatch, _Stateful())
         assert len(measured) == 2
+        assert streamed == []  # no templates: whole-nest simulation only
         assert len(sizes) == len(measured) + 1
         assert not any(result.nest_schedules["main"] is s for s in measured)
 
@@ -116,10 +142,110 @@ class TestOneSchedulingPath:
         self, monkeypatch
     ):
         config = PartitionConfig(adaptive_window=False, fixed_window_size=3)
-        sizes, measured, result = self._compile(
+        sizes, measured, streamed, result = self._compile(
             monkeypatch, HitMissPredictor(), config
         )
         assert len(measured) == 2
+        assert len(streamed) == 1
         assert sizes == [3, 3]
         assert [s.window_size for s in measured] == [3, 3]
         assert result.window_sizes == {"main": 3}
+
+
+def _gate_points(events):
+    """The ``gate.candidate`` payloads of a JSONL trace."""
+    return [e["data"] for e in events if e["name"] == "gate.candidate"]
+
+
+def _traced_compile(program, machine, predictor=None):
+    """(result, gate.candidate payloads) of one traced compile."""
+    sink = io.StringIO()
+    initial = {} if predictor is None else {"predictor": predictor}
+    with tracing(sink):
+        result = compile_program(program, session_for(machine), initial=initial)
+    events = [json.loads(line) for line in sink.getvalue().splitlines()]
+    return result, _gate_points(events)
+
+
+def _digest(machine, result):
+    """(movement, cycles, units, syncs) of the compiled program's simulation."""
+    metrics = Simulator(machine, SimConfig()).run(result.units())
+    return (
+        metrics.data_movement,
+        metrics.total_cycles,
+        metrics.unit_count,
+        metrics.sync_count,
+    )
+
+
+def _always_stop(monkeypatch):
+    """Plant a stop rule that stops every candidate at its first window."""
+    monkeypatch.setattr(passes, "gate_bound", lambda *args: "movement")
+
+
+class TestStreamingGate:
+    """The gate stops a losing candidate once a prefix proves it loses."""
+
+    def test_tiny_split_candidate_stops_at_the_cycle_bound(self):
+        machine = small_machine()
+        result, points = _traced_compile(tiny_app(), machine)
+        stopped = [p for p in points if "stopped_after_units" in p]
+        assert [p["variant"] for p in stopped] == ["split"]
+        (stop,) = stopped
+        assert stop["bound"] == "cycles" and stop["accepted"] is False
+        star = next(p for p in points if p["variant"] == "star")
+        assert stop["cycles"] >= star["cycles"]
+
+        checked_machine = small_machine()
+        with check.checking():
+            checked, checked_points = _traced_compile(tiny_app(), checked_machine)
+        # Check mode runs the candidate to the end but records the same stop.
+        assert checked_points == points
+        assert checked.variant_by_nest == result.variant_by_nest
+        assert checked.window_sizes == result.window_sizes
+        assert _digest(checked_machine, checked) == _digest(machine, result)
+
+    def test_stopped_candidate_is_partial(self, monkeypatch):
+        from repro.pipeline.passes import _GateStream
+
+        fed = []
+        feed = _GateStream.__call__
+
+        def counting_call(self, window):
+            stop = feed(self, window)
+            fed.append((self.units, stop))
+            return stop
+
+        monkeypatch.setattr(_GateStream, "__call__", counting_call)
+        _, points = _traced_compile(tiny_app(), small_machine())
+        (stop,) = [p for p in points if "stopped_after_units" in p]
+        # The schedule ended at the window that crossed the bound ...
+        assert fed[-1] == (stop["stopped_after_units"], True)
+        assert not any(stopped for _, stopped in fed[:-1])
+        # ... well before the end, where check mode's unstopped run goes.
+        fed.clear()
+        with check.checking():
+            _traced_compile(tiny_app(), small_machine())
+        assert not any(stopped for _, stopped in fed)
+        assert fed[-1][0] > 2 * stop["stopped_after_units"]
+
+    def test_stateful_predictor_never_streams(self, monkeypatch):
+        class _Stateful(HitMissPredictor):
+            pure_predict = False
+
+        _always_stop(monkeypatch)
+        _, points = _traced_compile(gate_program(), small_machine(), _Stateful())
+        assert len(points) == 2
+        assert not any("stopped_after_units" in p for p in points)
+
+    def test_planted_stop_rule_fails_check_mode(self, monkeypatch):
+        machine = small_machine()
+        result = compile_program(gate_program(), session_for(machine))
+        assert result.variant_by_nest["main"] == "profile"  # a splitting win
+        _always_stop(monkeypatch)
+        # Without checks the planted rule silently throws the win away ...
+        planted = compile_program(gate_program(), session_for(small_machine()))
+        assert planted.variant_by_nest["main"] == "star"
+        # ... and check mode, which runs the candidate to the end, refuses it.
+        with check.checking(), pytest.raises(CheckError, match="but it wins"):
+            compile_program(gate_program(), session_for(small_machine()))
