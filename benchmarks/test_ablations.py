@@ -5,6 +5,11 @@
 * transitive-closure sync minimization on/off (arc-count effect);
 * load-balance threshold sweep around the paper's 10%;
 * level-based (structured) vs paper-literal flattened operand sets.
+
+Each ablation splits every statement of the first nest of barnes or ocean
+at window size 8, through ``WindowScheduler`` directly.  Besides the
+relations the paper reports, the tests pin the exact movement and sync
+counts, so a change to the split or schedule path shows here.
 """
 
 import itertools
@@ -25,11 +30,15 @@ def schedule_nest_movement(app, **window_kwargs):
     machine = paper_machine()
     program = build_workload(app)
     program.declare_on(machine)
-    config = WindowConfig(always_split=True, **window_kwargs)
-    scheduler = WindowScheduler(machine, DataLocator(machine), config)
     nest = program.nests[0]
-    schedule = scheduler.schedule_nest(program, nest, 8)
-    return schedule
+    split_all = {(nest.name, b): True for b in range(nest.body_size)}
+    scheduler = WindowScheduler(
+        machine,
+        DataLocator(machine),
+        WindowConfig(**window_kwargs),
+        split_plan=split_all,
+    )
+    return scheduler.schedule_nest(program, nest, 8)
 
 
 def test_ablation_reuse_aware_windows(benchmark):
@@ -48,6 +57,7 @@ def test_ablation_reuse_aware_windows(benchmark):
         print(f"  {app}: reuse-aware {aware}  agnostic {agnostic}  ({delta:+.1%})")
         # Section 6.3: ignoring reuse moves more data.
         assert aware <= agnostic
+    assert rows == {"barnes": (46030, 46737), "ocean": (37113, 39415)}
 
 
 def test_ablation_sync_minimization(benchmark):
@@ -63,6 +73,7 @@ def test_ablation_sync_minimization(benchmark):
     for app, (minimized, unminimized) in rows.items():
         print(f"  {app}: syncs {minimized} (was {unminimized})")
         assert minimized <= unminimized
+    assert rows == {"barnes": (11243, 11243), "ocean": (19868, 19944)}
 
 
 def test_ablation_balance_threshold(benchmark, monkeypatch):
@@ -80,6 +91,7 @@ def test_ablation_balance_threshold(benchmark, monkeypatch):
         print(f"  threshold {threshold:.2f}: movement {movement}")
     # The knob perturbs placement but must not break scheduling.
     assert all(v > 0 for v in rows.values())
+    assert rows == {0.0: 47242, 0.10: 46030, 0.50: 45989}
 
 
 def test_ablation_flattened_products(benchmark):
@@ -92,3 +104,4 @@ def test_ablation_flattened_products(benchmark):
     print(f"\n  structured sets: {structured}  paper-literal flattened: {flattened}")
     # Both are valid schedules with comparable movement (within 25%).
     assert abs(structured - flattened) <= 0.25 * max(structured, flattened)
+    assert (structured, flattened) == (46030, 43311)

@@ -67,11 +67,16 @@ def main() -> None:
 
     # Forced split: the paper's always-split behaviour, to show the
     # subcomputation machinery regardless of the gate's verdict.
-    from repro.core.window import WindowConfig
-
     m_split = machine()
-    always_split = PartitionConfig(window=WindowConfig(always_split=True))
-    split = compile_program(build_program(), session_for(m_split, always_split))
+    program = build_program()
+    split_all = PartitionConfig(
+        split_plan_override={
+            (nest.name, b): True
+            for nest in program.nests
+            for b in range(nest.body_size)
+        }
+    )
+    split = compile_program(program, session_for(m_split, split_all))
     m_split.mcdram.reset()
     split_metrics = run_schedule(m_split, split.units())
     print("always-split:", split_metrics.summary())

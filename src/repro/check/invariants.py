@@ -317,7 +317,11 @@ def check_predictor_agreement(
 
 
 def check_split_cache_hit(cached, recomputed) -> None:
-    """A split served from the cache is bit-equal to a fresh recompute."""
+    """A table-built split equals the scalar splitter's, field for field.
+
+    ``cached`` has table-sourced locations and may be a Kruskal memo hit;
+    ``recomputed`` has locator-sourced locations and a fresh Kruskal.
+    """
     require(
         cached.mst_edges == recomputed.mst_edges,
         f"split cache divergence at seq {cached.instance.seq}: cached MST "

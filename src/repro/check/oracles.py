@@ -7,6 +7,8 @@ per-address bit arithmetic where it vectorizes, a quadratic closure where
 it sweeps bitmasks.  The property harness in ``tests/check/`` runs the
 two against each other over randomized inputs; the runtime hooks in
 :mod:`repro.check.invariants` call the cheap ones directly.
+:func:`star_cost` is a reference bound rather than a recomputation: no
+split's MST moves more than gathering every operand at the store node.
 
 Oracles never mutate their arguments and never consult the caches they
 are checking.
@@ -50,8 +52,8 @@ def exhaustive_mst_weight(
     Items are identified by index ``0..count-1``; ``weight(i, j)`` gives
     the edge weight.  Every (n-1)-subset of the complete edge set is
     tested for spanning-ness, so the result is the true minimum — the
-    reference for :func:`repro.core.mst.kruskal` and for the splitter's
-    per-operand-set component Kruskal.
+    reference for :func:`repro.core.mst.kruskal`, the component Kruskal
+    every split runs per operand set.
     """
     if count < 2:
         return 0.0
@@ -118,6 +120,34 @@ def oracle_split_weight(split, distance: Callable[[int, int], int]) -> float:
             sorted({n for nodes in members for n in nodes})
         )
     return total
+
+
+# -- the unsplit schedule (reference bound for the MST splitter) ----------
+
+def star_cost(instance, locator, var2node=None, exec_node=None) -> int:
+    """Predicted movement of the unsplit schedule (default execution).
+
+    All inputs gathered at ``exec_node`` (the output's home when not
+    given), one block fetch per distinct block, zero for blocks modeled
+    L1-resident there in ``var2node``, and the result carried to its home
+    bank.  Paper Figures 9 and 10 count their default movement this way.
+    Reads are located through ``locator``, so a stateful predictor
+    advances.
+    """
+    distance = locator.machine.mesh.distance_fn()
+    node = exec_node if exec_node is not None else locator.store_node(instance.write)
+    cost = 0
+    seen_blocks = set()
+    for access in instance.reads:
+        block = locator.block_of(access)
+        if block in seen_blocks:
+            continue
+        seen_blocks.add(block)
+        location = locator.locate(access, var2node)
+        if node in location.l1_copies:
+            continue
+        cost += distance(location.primary, node)
+    return cost + distance(node, locator.store_node(instance.write))
 
 
 # -- Floyd–Warshall (oracle for the XY / fault-aware route cache) ----------

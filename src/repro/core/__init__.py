@@ -6,8 +6,11 @@ Pipeline (Algorithm 1):
    home bank from the address bits, memory controller when the L2 miss
    predictor says the data is off chip, L1 copies from the
    ``variable2node_map`` built by previously scheduled subcomputations.
-2. :mod:`repro.core.splitter` — single statement splitting: hierarchical
-   Kruskal MST over the statement's nested operand sets.
+2. :mod:`repro.core.splitter` — single statement splitting: a static
+   skeleton from the statement's nested operand sets, then one step that
+   picks each leaf's vertex and runs :func:`repro.core.mst.kruskal` per
+   set, innermost first.  Leaf locations come from the locator or, in
+   :mod:`repro.core.vectorized`, from a nest's tables.
 3. :mod:`repro.core.scheduler` — subcomputation scheduling: leaf-to-root
    combines with load balancing and value-location tracking.
 4. :mod:`repro.core.window` — multi-statement windows with L1-reuse modeling

@@ -91,15 +91,6 @@ class VariableToNodeMap:
         """Nodes modeled as holding ``block`` in L1 (insertion order)."""
         return tuple(self._nodes_of_block.get(block, ()))
 
-    def holds_block(self, block: int) -> bool:
-        """True when any node is modeled as holding ``block``.
-
-        Equivalent to ``bool(nodes_with(block))`` without building the
-        tuple.  Note an eviction can leave an *empty* holder list behind,
-        so a plain key-membership test would overreport.
-        """
-        return bool(self._nodes_of_block.get(block))
-
     def clear(self) -> None:
         """Forget every recorded L1 copy (used at window boundaries)."""
         self._blocks_at_node.clear()

@@ -1,19 +1,19 @@
-"""Kruskal's minimum-spanning-tree over mesh nodes (paper Section 3.2).
+"""Kruskal's minimum-spanning-tree over components (paper Section 3.2).
 
-The graph's vertices are mesh nodes holding a statement's data, edges are
-weighted by Manhattan distance, and the MST's total weight is the minimum
-data movement.  Hierarchical use (nested operand sets) passes a shared
-:class:`~repro.utils.union_find.UnionFind` so already-processed inner sets
-enter the next level as single components, exactly as Algorithm 1 keeps
-``MSTedges`` across ``Vset`` levels.
+A component is a set of mesh nodes: a leaf operand's node, the store
+target's node, or an already-processed inner operand set, which enters the
+next level as one component attachable at *any* of its nodes (Algorithm 1
+keeps ``MSTedges`` across ``Vset`` levels).  The edge between two
+components costs the minimum Manhattan distance between their nodes
+(paper Figure 10's edge ③), and the accepted edges' total weight is the
+minimum data movement.  A point-vertex MST is the special case of
+one-node components.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Callable, List, Mapping, Sequence, Tuple
 
 from repro.utils.union_find import UnionFind
 
@@ -28,62 +28,39 @@ class MstEdge:
 
 
 def kruskal(
-    vertices: Sequence[int],
+    members: Sequence[int],
+    nodes_of: Mapping[int, Sequence[int]],
     distance: Callable[[int, int], int],
-    union_find: Optional[UnionFind] = None,
-    rng: Optional[np.random.Generator] = None,
-) -> List[MstEdge]:
-    """Connect ``vertices`` with minimum total ``distance``.
+) -> List[Tuple[int, int, MstEdge]]:
+    """Connect the distinct components ``members`` with minimum weight.
 
-    ``union_find`` lets callers pre-join vertices (hierarchical levels);
-    vertices already connected contribute no edge.  Ties between equal
-    weights are broken by the deterministic (a, b) order unless ``rng`` is
-    given, in which case equal-weight runs are shuffled — the paper breaks
-    ties randomly (Section 5), and the rng keeps that reproducible.
+    ``nodes_of[m]`` lists component ``m``'s mesh nodes.  Returns the
+    accepted ``(a, b, edge)`` triples in acceptance order, where ``a``
+    precedes ``b`` in ``members`` and ``edge`` joins the closest pair of
+    their nodes (the first such pair in node order).  Equal weights are
+    taken in (a, b) order, so the tree is deterministic.
     """
-    uf = union_find if union_find is not None else UnionFind()
-    for vertex in vertices:
-        uf.add(vertex)
-
-    edges: List[Tuple[int, int, int]] = []
-    ordered = sorted(set(vertices))
-    for i, a in enumerate(ordered):
-        for b in ordered[i + 1:]:
-            edges.append((distance(a, b), a, b))
-    edges.sort()
-
-    if rng is not None:
-        edges = _shuffle_ties(edges, rng)
-
-    accepted: List[MstEdge] = []
-    for weight, a, b in edges:
+    if len(members) < 2:
+        return []
+    candidates: List[Tuple[int, int, int, MstEdge]] = []
+    for i, a in enumerate(members):
+        nodes_a = nodes_of[a]
+        for b in members[i + 1:]:
+            best_w = -1
+            best_na = best_nb = 0
+            for na in nodes_a:
+                for nb in nodes_of[b]:
+                    w = distance(na, nb)
+                    if best_w < 0 or w < best_w:
+                        best_w = w
+                        best_na = na
+                        best_nb = nb
+            candidates.append((best_w, a, b, MstEdge(best_na, best_nb, best_w)))
+    # (weight, a, b) is unique per pair, so the MstEdge is never compared.
+    candidates.sort()
+    uf = UnionFind(members)
+    accepted: List[Tuple[int, int, MstEdge]] = []
+    for _, a, b, edge in candidates:
         if uf.union(a, b):
-            accepted.append(MstEdge(a, b, weight))
+            accepted.append((a, b, edge))
     return accepted
-
-
-def _shuffle_ties(
-    edges: List[Tuple[int, int, int]], rng: np.random.Generator
-) -> List[Tuple[int, int, int]]:
-    """Shuffle runs of equal-weight edges in place, preserving weight order."""
-    result: List[Tuple[int, int, int]] = []
-    run: List[Tuple[int, int, int]] = []
-    current_weight: Optional[int] = None
-    for edge in edges:
-        if current_weight is None or edge[0] == current_weight:
-            run.append(edge)
-            current_weight = edge[0]
-        else:
-            rng.shuffle(run)  # type: ignore[arg-type]
-            result.extend(run)
-            run = [edge]
-            current_weight = edge[0]
-    if run:
-        rng.shuffle(run)  # type: ignore[arg-type]
-        result.extend(run)
-    return result
-
-
-def tree_weight(edges: Sequence[MstEdge]) -> int:
-    """Total weight of a set of MST edges (the data-movement metric)."""
-    return sum(edge.weight for edge in edges)

@@ -34,6 +34,12 @@ from repro.ir.program import Program
 
 StatementKey = Tuple[str, int]
 
+#: Split only when the MST saves at least this many links per instance
+#: over the measured default execution: each cross-node result message
+#: costs a synchronization and serializes dependence chains, so marginal
+#: splits are not worth taking.
+SPLIT_BIAS = 3.0
+
 
 @dataclass
 class StatementProfile:
@@ -69,11 +75,14 @@ def profile_statements(
 
     The cache simulation mirrors the execution engine's access flow but
     only tracks movement, so it is cheap enough to run over a large sample.
-    When a ``session`` is given, the MST side uses the nest's split
-    kernel (:mod:`repro.core.vectorized`); the movement side stays on the
+    When a ``session`` is given, the MST side splits with the session's
+    operand tree (``config.window.flatten_products``, the one the schedule
+    pass splits with) through the nest's split kernel
+    (:mod:`repro.core.vectorized`); the movement side stays on the
     reference simulation either way.
     """
     program.declare_on(machine)
+    flatten = session is not None and session.config.window.flatten_products
     fallback_nodes = fallback_nodes or {}
     caches = CacheSystem(
         machine.node_count, machine.l1_config, machine.l2_config, machine.bank_to_node
@@ -89,7 +98,7 @@ def profile_statements(
             from repro.core.vectorized import templates_for
 
             templates = templates_for(
-                session, program, nest, locator, flatten_products=False
+                session, program, nest, locator, flatten_products=flatten
             )
             if templates is not None:
                 # Replay the sample's page translations up front (canonical
@@ -98,7 +107,11 @@ def profile_statements(
         splitter = (
             templates.split
             if templates is not None
-            else (lambda instance: split_statement(instance, locator))
+            else (
+                lambda instance: split_statement(
+                    instance, locator, flatten_products=flatten
+                )
+            )
         )
         sampled = 0
         for instance in program.nest_instances(nest, program.seq_base_of(nest)):

@@ -171,57 +171,6 @@ class StatementSchedule:
         return counts
 
 
-def star_cost(
-    instance: StatementInstance,
-    locator: DataLocator,
-    var2node: Optional[VariableToNodeMap] = None,
-    exec_node: Optional[int] = None,
-    tables=None,
-) -> int:
-    """Predicted movement of the unsplit schedule (default execution).
-
-    All inputs gathered at ``exec_node`` (the default placement's node for
-    this instance; the output's home when not given), one block fetch per
-    distinct block, zero for blocks modeled L1-resident there.  The window
-    scheduler splits a statement only when the MST beats this — splitting
-    that *increases* movement would defeat the metric the paper optimizes.
-    """
-    distance = locator.machine.mesh.distance_fn()
-    if tables is not None:
-        # Table-backed path: same answers as locate(), batched up front.
-        it, s = divmod(instance.seq - tables.seq_base, tables.body_size)
-        store = tables.store_node[s][it]
-        node = exec_node if exec_node is not None else store
-        read_blocks = tables.read_block[s]
-        read_primary = tables.read_primary[s]
-        cost = 0
-        seen_blocks = set()
-        for position in range(len(instance.reads)):
-            block = read_blocks[position][it]
-            if block in seen_blocks:
-                continue
-            seen_blocks.add(block)
-            if var2node is not None and node in var2node.nodes_with(block):
-                continue
-            cost += distance(read_primary[position][it], node)
-        return cost + distance(node, store)
-    node = exec_node if exec_node is not None else locator.store_node(instance.write)
-    cost = 0
-    seen_blocks = set()
-    for access in instance.reads:
-        block = locator.block_of(access)
-        if block in seen_blocks:
-            continue
-        seen_blocks.add(block)
-        location = locator.locate(access, var2node)
-        if node in location.l1_copies:
-            continue
-        cost += distance(location.primary, node)
-    # The result must reach its home bank from the execution node.
-    cost += distance(node, locator.store_node(instance.write))
-    return cost
-
-
 def schedule_star(
     instance: StatementInstance,
     locator: DataLocator,

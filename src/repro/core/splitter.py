@@ -1,8 +1,10 @@
 """Single statement splitting (paper Section 4.2, Algorithm 1 lines 1-32).
 
-For one statement instance:
+A split has a static part and a per-instance part:
 
-1. parse the RHS into nested operand sets (``variable_parsing``);
+1. parse the RHS into nested operand sets (``variable_parsing``): the
+   statement's :class:`SplitSkeleton`, which never changes between
+   instances;
 2. resolve every leaf operand to mesh-node candidates via ``GetNode``
    (L1 copies from the ``variable2node_map`` first, then home bank or MC);
 3. innermost set first, run Kruskal's algorithm over the set's members,
@@ -11,6 +13,12 @@ For one statement instance:
    costs the minimum distance to any member, paper Figure 10's edge ③);
 4. the store target joins the outermost set — the result is never migrated,
    so the spanning tree is anchored at the output's home node.
+
+Given the leaves' locations, choosing each leaf's vertex and steps 3-4
+are one function, :func:`build_split`.  The locations have two sources:
+the :class:`~repro.core.locator.DataLocator` (:func:`split_statement`,
+the scalar path) and a nest's vectorized tables
+(:class:`~repro.core.vectorized.split_kernel.SplitTemplates`).
 
 The output is a :class:`StatementSplit`: the leaf locations, the accepted
 MST edges (whose total weight is the paper's data-movement metric), and the
@@ -24,12 +32,10 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.locator import DataLocator, Location, VariableToNodeMap
-from repro.core.mst import MstEdge
-from repro.errors import SchedulingError
-from repro.ir.nested_sets import LeafOperand, OperandSet, build_operand_tree
-from repro.ir.statement import Access, StatementInstance
+from repro.core.mst import MstEdge, kruskal
+from repro.ir.nested_sets import LeafOperand, build_operand_tree
+from repro.ir.statement import Access, Statement, StatementInstance
 from repro.obs.tracer import get_tracer
-from repro.utils.union_find import UnionFind
 
 
 class LeafInfo(NamedTuple):
@@ -80,7 +86,7 @@ class StatementSplit:
 
     instance: StatementInstance
     leaves: Dict[int, LeafInfo]
-    sets: List[SetRecord]
+    sets: Sequence[SetRecord]
     merges: List[MergeStep]
     mst_edges: List[MstEdge]
     store_member: int
@@ -98,173 +104,137 @@ class StatementSplit:
         return len(self.leaves)
 
 
-def _choose_leaf_vertex(
-    location: Location,
-    other_primaries: Sequence[int],
-    store_node: int,
-    distance: Callable[[int, int], int],
-) -> int:
-    """Pick the candidate node that represents a leaf in the MST.
+@dataclass(frozen=True, slots=True)
+class SplitSkeleton:
+    """The static part of a statement's split, from its operand tree alone.
 
-    A datum modeled as L1-resident somewhere may be cheaper to use from that
-    node than from its home bank (paper Figure 11 uses n_D(i) for C(i)); we
-    pick the candidate minimizing total distance to the other operands and
-    the store target.
+    Member ids are allocated store member first (id 0), then leaves and
+    operand sets in post-order, so ``sets`` lists every set after its
+    inner sets — Kruskal's innermost-first order — and the root set,
+    which also holds the store member, last.  ``leaves`` holds
+    ``(member_id, position, negated, inverted)`` per leaf, in leaf order,
+    and ``positions`` the leaves' read positions.  A pure-constant RHS has
+    no leaves and no sets: its root is the store member.
     """
-    candidates = location.candidates()
-    if len(candidates) == 1:
-        return candidates[0]
-    anchors = list(other_primaries) + [store_node]
 
-    def spread(node: int) -> Tuple[int, int]:
-        return (sum(distance(node, a) for a in anchors), node)
-
-    return min(candidates, key=spread)
+    leaves: Tuple[Tuple[int, int, bool, bool], ...]
+    positions: Tuple[int, ...]
+    sets: Tuple[SetRecord, ...]
+    store_member: int
+    root_member: int
 
 
-def split_statement(
-    instance: StatementInstance,
-    locator: DataLocator,
-    var2node: Optional[VariableToNodeMap] = None,
-    flatten_products: bool = False,
-) -> StatementSplit:
-    """Split one statement instance into an MST of subcomputation sites."""
-    distance = locator.machine.mesh.distance_fn()
-    tree = build_operand_tree(instance.statement.rhs, flatten_products)
-    store_node = locator.store_node(instance.write)
-
-    leaves: Dict[int, LeafInfo] = {}
-    sets: List[SetRecord] = []
-    merges: List[MergeStep] = []
-    mst_edges: List[MstEdge] = []
-    component_nodes: Dict[int, Tuple[int, ...]] = {}
-    next_id = [0]
-
-    def fresh_id() -> int:
-        next_id[0] += 1
-        return next_id[0] - 1
-
+def skeleton_of(statement: Statement, flatten_products: bool = False) -> SplitSkeleton:
+    """The :class:`SplitSkeleton` of ``statement``'s right-hand side."""
+    tree = build_operand_tree(statement.rhs, flatten_products)
+    store_member = 0
     if tree is None:
-        # Pure-constant RHS: a single store subcomputation, no movement.
-        store_member = fresh_id()
-        component_nodes[store_member] = (store_node,)
-        return StatementSplit(
-            instance=instance,
-            leaves={},
-            sets=[],
-            merges=[],
-            mst_edges=[],
-            store_member=store_member,
-            store_node=store_node,
-            root_member=store_member,
-        )
+        return SplitSkeleton((), (), (), store_member, store_member)
+    leaves: List[Tuple[int, int, bool, bool]] = []
+    sets: List[SetRecord] = []
+    next_id = store_member + 1
 
-    # Resolve all leaf locations first so vertex choice can see the others.
-    flat_leaves = tree.leaves()
-    locations = [
-        locator.locate(instance.read_for_position(leaf.position), var2node)
-        for leaf in flat_leaves
-    ]
-    primaries = [loc.primary for loc in locations]
-    vertex_by_position: Dict[int, int] = {}
-    location_by_position: Dict[int, Location] = {}
-    for leaf, location in zip(flat_leaves, locations):
-        others = [p for j, p in enumerate(primaries) if flat_leaves[j].position != leaf.position]
-        vertex = _choose_leaf_vertex(location, others, store_node, distance)
-        vertex_by_position[leaf.position] = vertex
-        location_by_position[leaf.position] = location
-
-    # The store target joins the outermost operand set as one more component
-    # (the paper's nested-set example lists the output among the members, and
-    # Figure 9's MST anchors at the store node).
-    store_member = fresh_id()
-    component_nodes[store_member] = (store_node,)
-
-    def build_member(node, depth: int, is_root: bool = False) -> int:
-        """Register a leaf or run a set's Kruskal; returns the member id."""
+    def build(node, depth: int) -> int:
+        nonlocal next_id
         if isinstance(node, LeafOperand):
-            member = fresh_id()
-            location = location_by_position[node.position]
-            leaves[member] = LeafInfo(
-                member_id=member,
-                position=node.position,
-                access=location.access,
-                location=location,
-                vertex=vertex_by_position[node.position],
-                negated=node.negated,
-                inverted=node.inverted,
-            )
-            component_nodes[member] = (leaves[member].vertex,)
-            if is_root:
-                # Copy/scale statement: connect the lone operand to the store.
-                set_id = fresh_id()
-                sets.append(SetRecord(set_id, "+", (member, store_member), 0, depth))
-                _kruskal_over_members(set_id, "+", [member, store_member])
-                component_nodes[set_id] = tuple(
-                    sorted(set(component_nodes[member] + component_nodes[store_member]))
-                )
-                return set_id
+            member = next_id
+            next_id += 1
+            leaves.append((member, node.position, node.negated, node.inverted))
             return member
-        if not isinstance(node, OperandSet):
-            raise SchedulingError(f"unexpected operand node {type(node).__name__}")
-        member_ids = [build_member(child, depth + 1) for child in node.members]
-        if is_root:
+        member_ids = [build(child, depth + 1) for child in node.members]
+        if depth == 0:
+            # The store target joins the outermost operand set as one more
+            # component (the paper's nested-set example lists the output
+            # among the members, and Figure 9's MST anchors at the store).
             member_ids.append(store_member)
-        set_id = fresh_id()
+        set_id = next_id
+        next_id += 1
         sets.append(
             SetRecord(set_id, node.op_kind, tuple(member_ids), node.extra_ops, depth)
         )
-        _kruskal_over_members(set_id, node.op_kind, member_ids)
-        component_nodes[set_id] = tuple(
-            sorted({n for m in member_ids for n in component_nodes[m]})
-        )
         return set_id
 
-    def _kruskal_over_members(set_id: int, op_kind: str, member_ids: List[int]) -> None:
-        """Kruskal treating each member as a single component (paper 4.2)."""
-        if len(member_ids) < 2:
-            return
-        candidate_edges: List[Tuple[int, int, int, MstEdge]] = []
-        for i, ma in enumerate(member_ids):
-            nodes_a = component_nodes[ma]
-            for mb in member_ids[i + 1:]:
-                best_w = -1
-                best_na = best_nb = 0
-                for na in nodes_a:
-                    for nb in component_nodes[mb]:
-                        w = distance(na, nb)
-                        if best_w < 0 or w < best_w:
-                            best_w = w
-                            best_na = na
-                            best_nb = nb
-                assert best_w >= 0
-                candidate_edges.append(
-                    (best_w, ma, mb, MstEdge(best_na, best_nb, best_w))
-                )
-        # (weight, ma, mb) is unique per pair, so the MstEdge in position 3
-        # is never compared: plain tuple sort == the old explicit key.
-        candidate_edges.sort()
-        uf = UnionFind(member_ids)
-        for weight, ma, mb, edge in candidate_edges:
-            if uf.union(ma, mb):
-                merges.append(MergeStep(set_id, op_kind, ma, mb, edge))
-                mst_edges.append(edge)
+    root_member = build(tree, 0)
+    return SplitSkeleton(
+        tuple(leaves),
+        tuple(leaf[1] for leaf in leaves),
+        tuple(sets),
+        store_member,
+        root_member,
+    )
 
-    root_member = build_member(tree, 0, is_root=True)
 
+def leaf_vertex(
+    locations: Sequence[Location],
+    k: int,
+    store_node: int,
+    distance: Callable[[int, int], int],
+) -> int:
+    """The node that represents leaf ``k`` in the MST.
+
+    A datum modeled as L1-resident somewhere may be cheaper to use from that
+    node than from its home bank (paper Figure 11 uses n_D(i) for C(i)): of
+    the leaf's candidates (L1 copies, then the primary), the one minimizing
+    total distance to the other leaves' primaries and the store target
+    wins, the lower node on a tie.
+    """
+    location = locations[k]
+    anchors = [other.primary for j, other in enumerate(locations) if j != k]
+    anchors.append(store_node)
+    return min(
+        location.candidates(),
+        key=lambda node: (sum(distance(node, a) for a in anchors), node),
+    )
+
+
+def build_split(
+    instance: StatementInstance,
+    skeleton: SplitSkeleton,
+    locations: Sequence[Location],
+    store_node: int,
+    distance: Callable[[int, int], int],
+    memo: Optional[Dict[Tuple[int, ...], tuple]] = None,
+) -> StatementSplit:
+    """Split ``instance`` given one :class:`Location` per skeleton leaf.
+
+    Chooses each leaf's vertex (:func:`leaf_vertex`), then runs Kruskal
+    per operand set, innermost first.  Kruskal's result (merges and MST
+    edges) is a pure function of the vertices and the store node, so
+    ``memo``, when given, maps ``(vertex..., store_node)`` to a shared
+    result and Kruskal runs only on a miss; without one it runs fresh.
+    """
+    leaves: Dict[int, LeafInfo] = {}
+    vertices = [store_node] * (len(locations) + 1)
+    for k, (member, position, negated, inverted) in enumerate(skeleton.leaves):
+        location = locations[k]
+        vertex = location.primary
+        if location.l1_copies:  # else the rule's answer is the primary
+            vertex = leaf_vertex(locations, k, store_node, distance)
+        vertices[k] = vertex
+        leaves[member] = LeafInfo(
+            member, position, location.access, location, vertex, negated, inverted
+        )
+    key = tuple(vertices)
+    if memo is None:
+        merges, mst_edges = _kruskal_sets(skeleton, key, distance)
+    else:
+        cached = memo.get(key)
+        if cached is None:
+            cached = memo[key] = _kruskal_sets(skeleton, key, distance)
+        merges, mst_edges = cached
     split = StatementSplit(
         instance=instance,
         leaves=leaves,
-        sets=sets,
+        sets=skeleton.sets,
         merges=merges,
         mst_edges=mst_edges,
-        store_member=store_member,
+        store_member=skeleton.store_member,
         store_node=store_node,
-        root_member=root_member,
+        root_member=skeleton.root_member,
     )
     tracer = get_tracer()
     if tracer.debug:
-        # Firehose (one event per freshly split instance): debug only.
+        # Firehose (one event per split instance): debug only.
         tracer.point(
             "split.statement",
             seq=instance.seq,
@@ -274,3 +244,52 @@ def split_statement(
         )
     return split
 
+
+def _kruskal_sets(
+    skeleton: SplitSkeleton,
+    key: Tuple[int, ...],
+    distance: Callable[[int, int], int],
+) -> Tuple[List[MergeStep], List[MstEdge]]:
+    """Kruskal over each operand set, innermost first.
+
+    ``key`` holds each leaf's vertex, in leaf order, then the store node;
+    a finished set enters its parent as one component over all its nodes.
+    """
+    nodes_of: Dict[int, Tuple[int, ...]] = {
+        leaf[0]: (vertex,) for leaf, vertex in zip(skeleton.leaves, key)
+    }
+    nodes_of[skeleton.store_member] = (key[-1],)
+    merges: List[MergeStep] = []
+    mst_edges: List[MstEdge] = []
+    for record in skeleton.sets:
+        member_ids = record.member_ids
+        for a, b, edge in kruskal(member_ids, nodes_of, distance):
+            merges.append(MergeStep(record.set_id, record.op_kind, a, b, edge))
+            mst_edges.append(edge)
+        nodes_of[record.set_id] = tuple(
+            sorted({n for m in member_ids for n in nodes_of[m]})
+        )
+    return merges, mst_edges
+
+
+def split_statement(
+    instance: StatementInstance,
+    locator: DataLocator,
+    var2node: Optional[VariableToNodeMap] = None,
+    flatten_products: bool = False,
+) -> StatementSplit:
+    """Split one statement instance into an MST of subcomputation sites.
+
+    The scalar path: the store node, then every leaf in leaf order, is
+    located through ``locator``, and Kruskal runs fresh.  A stateful
+    predictor (the ideal-analysis oracle) answers from its query history,
+    so that query sequence is part of the result.
+    """
+    distance = locator.machine.mesh.distance_fn()
+    skeleton = skeleton_of(instance.statement, flatten_products)
+    store_node = locator.store_node(instance.write)
+    reads = instance.reads
+    locations = [
+        locator.locate(reads[position], var2node) for position in skeleton.positions
+    ]
+    return build_split(instance, skeleton, locations, store_node, distance)

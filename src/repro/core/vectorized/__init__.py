@@ -7,8 +7,10 @@ by check-mode oracle:
   VA->PA->block/primary/on-chip tables, replaying page translations in
   canonical first-touch order;
 * :class:`~repro.core.vectorized.split_kernel.SplitTemplates` — the
-  split kernel: every split after a statement's first is built from
-  those tables and one Kruskal memo per statement.
+  split kernel: every split of a table-backed nest is built from those
+  tables by the splitter's one step
+  (:func:`~repro.core.splitter.build_split`), over one Kruskal memo per
+  statement.
 
 The session-level helpers below gate the fast path: it is only used with
 pure predictors (``pure_predict=True``) and falls back to the scalar code

@@ -25,12 +25,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 from repro.arch.machine import Machine
 from repro.core.balancer import LoadBalancer
 from repro.core.locator import DataLocator, VariableToNodeMap
-from repro.core.scheduler import (
-    StatementSchedule,
-    schedule_star,
-    schedule_statement,
-    star_cost,
-)
+from repro.core.scheduler import StatementSchedule, schedule_star, schedule_statement
 from repro.core.splitter import StatementSplit, split_statement
 from repro.core.syncgraph import SyncGraph
 from repro.errors import SchedulingError
@@ -42,12 +37,6 @@ from repro.obs.tracer import get_tracer
 
 #: The paper found no nest preferring more than 8 statements (footnote 4).
 MAX_WINDOW_SIZE = 8
-
-#: Split only when the MST saves at least this many links per instance
-#: over the unsplit execution: each cross-node result message costs a
-#: synchronization and serializes dependence chains, so marginal splits
-#: are not worth taking.
-SPLIT_BIAS = 3.0
 
 #: The size search measures candidate window sizes on this many leading
 #: statement instances of a nest.  Loop bodies repeat, so a prefix is
@@ -68,10 +57,6 @@ class WindowConfig:
     reuse_aware: bool = True
     l1_model_blocks: int = 64
     flatten_products: bool = False
-    #: Force MST splitting even when the unsplit gather-at-store execution
-    #: moves less data (ablation knob; the production path picks the better
-    #: of the two per statement).
-    always_split: bool = False
 
 
 @dataclass
@@ -149,17 +134,24 @@ class NestSchedule:
 
 
 class WindowScheduler:
-    """Schedules statement instances window by window."""
+    """Schedules statement instances window by window.
+
+    ``split_plan`` maps every statement key ``(nest name, body index)`` of
+    the scheduled instances to whether its instances split (the schedule
+    pass's per-nest plan); an unsplit instance runs whole at its fallback
+    node.
+    """
 
     def __init__(
         self,
         machine: Machine,
         locator: DataLocator,
         config: WindowConfig = WindowConfig(),
+        *,
+        split_plan: Dict[Tuple[str, int], bool],
         balancer: Optional[LoadBalancer] = None,
         uid_counter: Optional[Iterator[int]] = None,
         fallback_nodes: Optional[Dict[int, int]] = None,
-        split_plan: Optional[Dict[Tuple[str, int], bool]] = None,
         session=None,
         templates=None,
     ):
@@ -190,14 +182,11 @@ class WindowScheduler:
         # seq -> default-placement node: where an unsplit statement runs
         # (the paper optimizes on top of the default assignment).
         self.fallback_nodes = fallback_nodes or {}
-        # Static per-statement split decisions from the profiling pass; when
-        # absent, the scheduler falls back to a per-instance model compare.
         self.split_plan = split_plan
         # Persistent model of the real L1 contents under the schedule being
         # built (real caches do not forget at window boundaries): stars
         # record their blocks at their execution node, splits at their
-        # gather nodes.  Used for expected-hit marking and for the
-        # split-vs-unsplit movement comparison; the window-scoped
+        # gather nodes.  Used for expected-hit marking; the window-scoped
         # ``variable2node_map`` remains the reuse-candidate source, as in
         # Algorithm 1.
         self._l1_model = VariableToNodeMap(
@@ -234,26 +223,7 @@ class WindowScheduler:
         )
         for instance in instances:
             split = None if lazy_split else self._split_of(instance, var2node)
-            # Split only when the MST actually beats the unsplit default
-            # execution (data movement is the first-class metric; a split
-            # that moves *more* data is never taken).
-            fallback = self.fallback_nodes.get(instance.seq)
-            if self.config.always_split:
-                decision = True
-            elif self.split_plan is not None and instance.static_key in self.split_plan:
-                decision = self.split_plan[instance.static_key]
-            else:
-                if split is None:
-                    split = self._split_of(instance, var2node)
-                unsplit = star_cost(
-                    instance,
-                    self.locator,
-                    self._l1_model,
-                    fallback,
-                    tables=self._tables,
-                )
-                decision = split.mst_weight + SPLIT_BIAS <= unsplit
-            if decision:
+            if self.split_plan[instance.static_key]:
                 if split is None:
                     split = self._split_of(instance, var2node)
                 schedules.append(
@@ -275,7 +245,7 @@ class WindowScheduler:
                         self.balancer,
                         self._uid_counter,
                         var2node,
-                        fallback,
+                        self.fallback_nodes.get(instance.seq),
                         hit_model=self._l1_model,
                         tables=self._tables,
                     )
@@ -421,9 +391,10 @@ class WindowSizeSearch:
         machine: Machine,
         locator: DataLocator,
         config: WindowConfig = WindowConfig(),
+        *,
+        split_plan: Dict[Tuple[str, int], bool],
         uid_counter: Optional[Iterator[int]] = None,
         fallback_nodes: Optional[Dict[int, int]] = None,
-        split_plan: Optional[Dict[Tuple[str, int], bool]] = None,
         session=None,
         templates=None,
     ):

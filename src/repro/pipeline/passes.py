@@ -52,13 +52,8 @@ from repro.core.partitioner import (
     profile_access_counts,
     train_predictor,
 )
-from repro.core.profiling import build_split_plan, profile_statements
-from repro.core.window import (
-    SPLIT_BIAS,
-    SearchOutcome,
-    WindowScheduler,
-    WindowSizeSearch,
-)
+from repro.core.profiling import SPLIT_BIAS, build_split_plan, profile_statements
+from repro.core.window import SearchOutcome, WindowScheduler, WindowSizeSearch
 from repro.errors import ConfigurationError, SchedulingError
 from repro.ir.dependence import may_depend
 from repro.ir.inspector import InspectorExecutor
@@ -447,9 +442,6 @@ class SchedulePass(Pass):
             for key in keys
         }
         tracer = session.tracer
-        if session.config.window.always_split:
-            tracer.point("gate.skip", nest=nest.name, reason="always_split")
-            return all_split, "split", schedule_plan(all_split)
         candidates = []
         if any(from_profile.values()):
             candidates.append(("profile", from_profile))

@@ -246,10 +246,13 @@ def _canonical_program(spec: Dict) -> Dict:
         ]
         for text in statements:
             _check_statement(text, canonical_arrays, canonical_loops)
+        nest_name = _require_type(
+            nest.get("name", f"nest{position}"), str, "nest name"
+        )
+        if any(other["name"] == nest_name for other in canonical_nests):
+            raise ServeError(f"nest #{position} reuses nest name {nest_name!r}")
         canonical_nests.append({
-            "name": _require_type(
-                nest.get("name", f"nest{position}"), str, "nest name"
-            ),
+            "name": nest_name,
             "loops": canonical_loops,
             "body": statements,
         })

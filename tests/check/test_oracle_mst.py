@@ -1,4 +1,9 @@
-"""Differential tests: Kruskal / the MST splitter vs exhaustive search."""
+"""Differential tests: Kruskal / the MST splitter vs exhaustive search.
+
+:func:`repro.core.mst.kruskal` is the one Kruskal: every split, scalar or
+table-built, runs it once per operand set, whose members are components
+(a leaf's node, the store node, or an inner set's node union).
+"""
 
 import dataclasses
 
@@ -8,9 +13,13 @@ from hypothesis import strategies as st
 
 from repro.arch.knl import small_machine
 from repro.check.invariants import check_split_weight
-from repro.check.oracles import exhaustive_mst_weight, oracle_split_weight
+from repro.check.oracles import (
+    component_distance,
+    exhaustive_mst_weight,
+    oracle_split_weight,
+)
 from repro.core.locator import DataLocator
-from repro.core.mst import kruskal, tree_weight
+from repro.core.mst import kruskal
 from repro.core.splitter import split_statement
 from repro.errors import CheckError
 from repro.ir.loop import Loop, LoopNest
@@ -62,12 +71,39 @@ class TestKruskalVsExhaustive:
                 min_size=count, max_size=count, unique=True,
             )
         )
-        edges = kruskal(vertices, mesh.distance)
+        edges = kruskal(vertices, {v: (v,) for v in vertices}, mesh.distance)
         expected = exhaustive_mst_weight(
             len(vertices),
             lambda i, j: mesh.distance(vertices[i], vertices[j]),
         )
-        assert tree_weight(edges) == expected
+        assert sum(edge.weight for _, _, edge in edges) == expected
+
+    @given(meshes, st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_component_kruskal_weight_is_the_true_minimum(self, mesh, data):
+        """Multi-node components: an inner operand set at the next level."""
+        node = st.integers(0, mesh.node_count - 1)
+        components = data.draw(
+            st.lists(
+                st.lists(node, min_size=1, max_size=3, unique=True).map(tuple),
+                min_size=2, max_size=6,
+            )
+        )
+        nodes_of = dict(enumerate(components))
+        edges = kruskal(list(nodes_of), nodes_of, mesh.distance)
+        assert len(edges) == len(components) - 1
+        for a, b, edge in edges:
+            assert edge.a in nodes_of[a] and edge.b in nodes_of[b]
+            assert edge.weight == component_distance(
+                nodes_of[a], nodes_of[b], mesh.distance
+            )
+        expected = exhaustive_mst_weight(
+            len(components),
+            lambda i, j: component_distance(
+                components[i], components[j], mesh.distance
+            ),
+        )
+        assert sum(edge.weight for _, _, edge in edges) == expected
 
     def test_exhaustive_rejects_oversized_inputs(self):
         with pytest.raises(CheckError):

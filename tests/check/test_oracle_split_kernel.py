@@ -3,12 +3,13 @@
 ``SplitTemplates.split(instance, var2node)`` must answer exactly what
 ``split_statement(instance, locator, var2node, flatten_products=...)``
 answers: the same leaves (in the same order), sets, merges, MST edges,
-store node, store member and root member.  That holds for a statement's
-first split (scalar, which teaches the kernel the statement's skeleton)
-and for every later one (built from the tables and the Kruskal memo),
-against no map, an empty map, or a random window map.
+store node, store member and root member.  That holds for every split,
+each built from the tables and the Kruskal memo, against no map, an empty
+map, or a random window map.  Outside check mode a table-backed compile
+never runs the scalar splitter.
 """
 
+import contextlib
 import functools
 
 import numpy as np
@@ -16,14 +17,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import check
 from repro.arch.knl import small_machine
 from repro.cache.predictor import HitMissPredictor
+from repro.core import profiling, window
 from repro.core.locator import DataLocator, VariableToNodeMap
 from repro.core.splitter import split_statement
-from repro.core.vectorized import SplitTemplates, templates_for
+from repro.core.vectorized import SplitTemplates, split_kernel, templates_for
 from repro.ir.loop import Loop, LoopNest
 from repro.ir.parser import parse_statement
 from repro.ir.program import Program
+from repro.pipeline import compile_program, session_for
 from repro.pipeline.session import CompilationSession
 from tests.check.test_oracle_mst import RHS_SHAPES
 
@@ -101,7 +105,6 @@ class TestKernelVsScalar:
     def test_every_split_equals_the_scalar_splitter(self, shape, flatten, data):
         machine, locator, tables, instances, blocks = _nest(shape)
         kernel = SplitTemplates(tables, locator, flatten)
-        # The first split of each statement is scalar; the rest are built.
         for _ in range(data.draw(st.integers(3, 8))):
             instance = data.draw(st.sampled_from(instances))
             var2node = data.draw(window_maps(machine, blocks))
@@ -128,3 +131,38 @@ class TestKernelVsScalar:
                 MapBlind(tables, locator).split(instance, var2node),
                 split_statement(instance, locator, var2node),
             )
+
+
+class TestScalarSplitsOnlyInCheckMode:
+    """A table-backed compile builds every split from its tables."""
+
+    @staticmethod
+    def _scalar_splits(monkeypatch, checking: bool) -> int:
+        """Scalar ``split_statement`` calls of one default compile."""
+        calls = []
+        for module in (split_kernel, window, profiling):
+
+            def counting(*args, _split=module.split_statement, **kwargs):
+                calls.append(args[0].seq)
+                return _split(*args, **kwargs)
+
+            monkeypatch.setattr(module, "split_statement", counting)
+        program = Program("kernel")
+        for name in ("A", "B", "C", "D", "E"):
+            program.declare(name, 96)
+        body = [
+            parse_statement("A(i) = B(i) + C(i) * D(i)"),
+            parse_statement("E(i) = A(i) + B(i+1)"),
+        ]
+        program.add_nest(LoopNest.of([Loop("i", 0, 40)], body, "n"))
+        session = session_for(small_machine())
+        with check.checking() if checking else contextlib.nullcontext():
+            compile_program(program, session)
+        assert any(session.caches.split_templates.values())  # table-backed
+        return len(calls)
+
+    def test_default_compile_runs_no_scalar_split(self, monkeypatch):
+        assert self._scalar_splits(monkeypatch, checking=False) == 0
+
+    def test_check_mode_compares_against_scalar_splits(self, monkeypatch):
+        assert self._scalar_splits(monkeypatch, checking=True) > 0

@@ -204,18 +204,20 @@ class TestSplitCacheHit:
             CompilationSession(machine=machine), program, nest, locator, False
         )
         templates.tables.ensure(nest.instance_count)
-        scheduler = WindowScheduler(machine, locator, templates=templates)
+        scheduler = WindowScheduler(
+            machine, locator, split_plan={("n", 0): True}, templates=templates
+        )
         return scheduler, templates, list(program.instances())
 
     def test_fires_on_poisoned_cache_entry(self):
         scheduler, templates, instances = self._scheduler_and_instances()
         first, second, third = instances[:3]
-        scheduler._split_of(first, None)  # scalar: learns the skeleton
-        split = scheduler._split_of(second, None)  # fills the memo
+        scheduler._split_of(first, None)  # fills the memo
+        split = scheduler._split_of(second, None)
         (memo,) = [m for m in templates._memo if m]
         (key,) = memo
         # Neighbouring elements share a block, hence the memo key: the
-        # third instance reuses the second's Kruskal result.
+        # later instances reuse the first's Kruskal result.
         assert scheduler._split_of(third, None).mst_edges is split.mst_edges
         merges, mst_edges = memo[key]
         memo[key] = (merges, mst_edges[:-1])

@@ -4,13 +4,18 @@ import pytest
 
 from repro.core.balancer import BALANCE_THRESHOLD, OP_COSTS, LoadBalancer, op_cost
 from repro.core.locator import DataLocator, VariableToNodeMap
-from repro.core.mst import kruskal, tree_weight
+from repro.core.mst import kruskal
 from repro.core.syncgraph import SyncGraph
 from repro.errors import SchedulingError
 from repro.ir.statement import Access
 from repro.noc.topology import Mesh2D
 from repro.utils.rng import make_rng
-from repro.utils.union_find import UnionFind
+
+
+def kruskal_weight(vertices, distance):
+    """Weight of Kruskal's tree over one-node components at ``vertices``."""
+    edges = kruskal(vertices, {v: (v,) for v in vertices}, distance)
+    return sum(edge.weight for _, _, edge in edges)
 
 
 class TestKruskal:
@@ -18,30 +23,19 @@ class TestKruskal:
         return abs(a - b)
 
     def test_connects_all_vertices(self):
-        edges = kruskal([1, 5, 9, 14], self.line_distance)
+        vertices = [1, 5, 9, 14]
+        edges = kruskal(vertices, {v: (v,) for v in vertices}, self.line_distance)
         assert len(edges) == 3
 
     def test_minimum_weight_on_line(self):
-        edges = kruskal([0, 2, 5], self.line_distance)
-        assert tree_weight(edges) == 5  # 0-2 (2) + 2-5 (3)
+        assert kruskal_weight([0, 2, 5], self.line_distance) == 5  # 0-2 (2) + 2-5 (3)
 
     def test_mesh_distances(self):
         mesh = Mesh2D(4, 4)
-        edges = kruskal([0, 3, 12, 15], mesh.distance)
-        assert tree_weight(edges) == 9  # three sides of the square
+        assert kruskal_weight([0, 3, 12, 15], mesh.distance) == 9  # three sides
 
     def test_single_vertex(self):
-        assert kruskal([3], self.line_distance) == []
-
-    def test_duplicate_vertices_collapse(self):
-        edges = kruskal([1, 1, 4], self.line_distance)
-        assert len(edges) == 1
-
-    def test_shared_union_find_pre_joins(self):
-        uf = UnionFind()
-        uf.union(0, 9)
-        edges = kruskal([0, 9, 5], self.line_distance, union_find=uf)
-        assert len(edges) == 1  # only 5 needs connecting
+        assert kruskal([3], {3: (3,)}, self.line_distance) == []
 
     def test_mst_never_exceeds_star(self):
         mesh = Mesh2D(6, 6)
@@ -52,14 +46,7 @@ class TestKruskal:
                 continue
             center = vertices[0]
             star = sum(mesh.distance(center, v) for v in vertices[1:])
-            assert tree_weight(kruskal(vertices, mesh.distance)) <= star
-
-    def test_random_ties_still_spanning(self):
-        mesh = Mesh2D(4, 4)
-        vertices = [0, 1, 4, 5]
-        deterministic = kruskal(vertices, mesh.distance)
-        random = kruskal(vertices, mesh.distance, rng=make_rng(3))
-        assert tree_weight(deterministic) == tree_weight(random) == 3
+            assert kruskal_weight(vertices, mesh.distance) <= star
 
 
 class TestLoadBalancer:

@@ -4,9 +4,10 @@ import itertools
 
 import pytest
 
+from repro.check.oracles import star_cost
 from repro.core.balancer import LoadBalancer
 from repro.core.locator import DataLocator, VariableToNodeMap
-from repro.core.scheduler import schedule_star, schedule_statement, star_cost
+from repro.core.scheduler import schedule_star, schedule_statement
 from repro.core.splitter import split_statement
 from repro.ir.loop import Loop, LoopNest
 from repro.ir.parser import parse_statement

@@ -9,6 +9,7 @@ from repro.core.partitioner import (
     train_predictor,
 )
 from repro.core.profiling import build_split_plan, profile_statements
+from repro.core.splitter import split_statement
 from repro.core.window import (
     MAX_WINDOW_SIZE,
     WindowConfig,
@@ -23,14 +24,14 @@ from repro.ir.program import Program
 from repro.pipeline import compile_program, session_for
 
 
-def always_split_config(**kwargs):
-    return WindowConfig(always_split=True, **kwargs)
+#: Split both statements of the ``declared`` program's nest.
+SPLIT_ALL = {("main", 0): True, ("main", 1): True}
 
 
 class TestWindowScheduler:
     def test_window_boundaries(self, declared):
         machine, program = declared
-        scheduler = WindowScheduler(machine, DataLocator(machine), always_split_config())
+        scheduler = WindowScheduler(machine, DataLocator(machine), split_plan=SPLIT_ALL)
         schedule = scheduler.schedule_nest(program, program.nests[0], 4)
         assert schedule.window_size == 4
         assert all(w.statement_count <= 4 for w in schedule.windows)
@@ -38,7 +39,7 @@ class TestWindowScheduler:
 
     def test_bad_window_size(self, declared):
         machine, program = declared
-        scheduler = WindowScheduler(machine, DataLocator(machine))
+        scheduler = WindowScheduler(machine, DataLocator(machine), split_plan=SPLIT_ALL)
         with pytest.raises(SchedulingError):
             scheduler.schedule_nest(program, program.nests[0], 0)
 
@@ -46,16 +47,22 @@ class TestWindowScheduler:
         machine, program = declared
         nest = program.nests[0]
         aware = WindowScheduler(
-            machine, DataLocator(machine), always_split_config(reuse_aware=True)
+            machine,
+            DataLocator(machine),
+            WindowConfig(reuse_aware=True),
+            split_plan=SPLIT_ALL,
         ).schedule_nest(program, nest, 8)
         agnostic = WindowScheduler(
-            machine, DataLocator(machine), always_split_config(reuse_aware=False)
+            machine,
+            DataLocator(machine),
+            WindowConfig(reuse_aware=False),
+            split_plan=SPLIT_ALL,
         ).schedule_nest(program, nest, 8)
         assert aware.movement <= agnostic.movement
 
     def test_sync_counts_non_negative_and_minimized(self, declared):
         machine, program = declared
-        scheduler = WindowScheduler(machine, DataLocator(machine), always_split_config())
+        scheduler = WindowScheduler(machine, DataLocator(machine), split_plan=SPLIT_ALL)
         schedule = scheduler.schedule_nest(program, program.nests[0], 4)
         assert 0 <= schedule.sync_count <= schedule.sync_count_unminimized
 
@@ -93,18 +100,14 @@ class TestWindowScheduler:
 class TestWindowSizeSearch:
     def test_tries_all_sizes(self, declared):
         machine, program = declared
-        search = WindowSizeSearch(
-            machine, DataLocator(machine), always_split_config()
-        )
+        search = WindowSizeSearch(machine, DataLocator(machine), split_plan=SPLIT_ALL)
         outcome = search.search(program, program.nests[0])
         assert set(outcome.movement_by_size) == set(range(1, MAX_WINDOW_SIZE + 1))
         assert 1 <= outcome.best_size <= MAX_WINDOW_SIZE
 
     def test_best_size_minimizes_sampled_movement(self, declared):
         machine, program = declared
-        search = WindowSizeSearch(
-            machine, DataLocator(machine), always_split_config()
-        )
+        search = WindowSizeSearch(machine, DataLocator(machine), split_plan=SPLIT_ALL)
         outcome = search.search(program, program.nests[0])
         best = min(outcome.movement_by_size.values())
         assert outcome.movement_by_size[outcome.best_size] == best
@@ -136,6 +139,45 @@ class TestProfiling:
         assert profiles[("reduction", 0)].serial_chain
         plan = build_split_plan(profiles, bias=0.0)
         assert plan[("reduction", 0)] is False
+
+    @pytest.mark.parametrize("pure", [True, False])
+    def test_profile_splits_with_the_session_operand_tree(self, machine, pure):
+        """Under ``flatten_products`` the profile averages flattened MSTs,
+        through the split kernel (pure) and the scalar splitter alike."""
+
+        class StatefulPredictor:
+            pure_predict = False
+
+            def predict(self, address):
+                return True
+
+        program = Program("flat")
+        # B beside D and C beside E: the structured tree must join B to C
+        # and D to E, the flattened one pairs the neighbours.
+        for phase, name in ((0, "B"), (8, "C"), (0, "D"), (8, "E"), (4, "A")):
+            program.declare(name, 512, bank_phase=phase)
+        program.add_nest(
+            LoopNest.of(
+                [Loop("i", 0, 32)],
+                [parse_statement("A(i) = B(i) * C(i) + D(i) * E(i)")],
+                "main",
+            )
+        )
+        config = PartitionConfig(window=WindowConfig(flatten_products=True))
+        session = session_for(machine, config)
+        locator = DataLocator(machine, None if pure else StatefulPredictor())
+        profiles = profile_statements(machine, program, locator, session=session)
+        instances = list(program.instances())
+
+        def mean_weight(flatten):
+            weights = [
+                split_statement(i, locator, flatten_products=flatten).mst_weight
+                for i in instances
+            ]
+            return sum(weights) / len(weights)
+
+        assert mean_weight(True) != mean_weight(False)  # the trees differ here
+        assert profiles[("main", 0)].mst_weight == mean_weight(True)
 
     def test_profile_access_counts(self, tiny_program):
         counts = profile_access_counts(tiny_program)

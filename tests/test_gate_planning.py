@@ -10,7 +10,7 @@ from repro.arch.knl import small_machine
 from repro.benchmarks.perf import tiny_app
 from repro.cache.predictor import HitMissPredictor
 from repro.core.partitioner import PartitionConfig
-from repro.core.window import WindowConfig, WindowScheduler
+from repro.core.window import WindowScheduler
 from repro.errors import CheckError
 from repro.ir.loop import Loop, LoopNest
 from repro.ir.parser import parse_statement
@@ -41,18 +41,6 @@ class TestGate:
     def test_gate_records_variant(self, machine):
         result = compile_program(gate_program(), session_for(machine))
         assert result.variant_by_nest["main"] in ("star", "profile", "split")
-
-    def test_always_split_bypasses_gate(self, machine):
-        config = PartitionConfig(window=WindowConfig(always_split=True))
-        result = compile_program(gate_program(), session_for(machine, config))
-        assert result.variant_by_nest["main"] == "split"
-        # Splitting produced multi-unit statements somewhere.
-        multi = [
-            s
-            for s in result.nest_schedules["main"].statement_schedules()
-            if len(s.subcomputations) > 1
-        ]
-        assert multi
 
     def test_star_plan_units_match_instance_count(self, machine):
         config = PartitionConfig(

@@ -16,9 +16,10 @@ import pytest
 from repro.arch.knl import small_machine
 from repro.core.balancer import LoadBalancer
 from repro.core.locator import DataLocator, Location
-from repro.core.scheduler import schedule_statement, star_cost
+from repro.check.oracles import star_cost
+from repro.core.scheduler import schedule_statement
 from repro.core.splitter import split_statement
-from repro.core.window import WindowConfig, WindowScheduler
+from repro.core.window import WindowScheduler
 from repro.ir.loop import Loop, LoopNest
 from repro.ir.parser import parse_statement
 from repro.ir.program import Program
@@ -178,12 +179,13 @@ class TestFigure11MultiStatementReuse:
         "Y": Coord(1, 3),
     }
 
-    def make_scheduler(self, machine, locator, window_config=None):
+    def make_scheduler(self, machine, locator):
+        """A scheduler that splits both statements."""
         return WindowScheduler(
             machine,
             locator,
-            window_config or WindowConfig(always_split=True),
-            LoadBalancer(machine.node_count),
+            split_plan={("example", 0): True, ("example", 1): True},
+            balancer=LoadBalancer(machine.node_count),
         )
 
     def test_window_reuses_l1_copy(self, mesh6):

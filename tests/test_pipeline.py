@@ -22,7 +22,6 @@ from repro.arch.knl import small_machine
 from repro.cache.predictor import HitMissPredictor
 from repro.core.balancer import LoadBalancer
 from repro.core.partitioner import PartitionConfig
-from repro.core.window import WindowConfig
 from repro.errors import ConfigurationError
 from repro.ir.loop import Loop, LoopNest
 from repro.ir.parser import parse_statement
@@ -65,10 +64,13 @@ def split_program(name: str = "p") -> Program:
     return p
 
 
-def always_split_session(**kwargs):
+def split_all_session(**kwargs):
+    """A session whose plan splits both of ``split_program``'s statements."""
     return session_for(
         small_machine(),
-        config=PartitionConfig(window=WindowConfig(always_split=True)),
+        config=PartitionConfig(
+            split_plan_override={("main", 0): True, ("main", 1): True}
+        ),
         **kwargs,
     )
 
@@ -107,23 +109,23 @@ class TestPipelineRuns:
 
     def test_pass_timings_cover_the_executed_passes(self):
         with tracing() as tracer:
-            compile_program(split_program(), always_split_session())
+            compile_program(split_program(), split_all_session())
         seconds = tracer.seconds("pass.")
         assert set(seconds) == set(DEFAULT_PASS_ORDER)
         assert all(v >= 0.0 for v in seconds.values())
 
     def test_skip_sync_minimize_leaves_windows_unminimized(self):
         skipped = compile_program(
-            split_program(), always_split_session(skip_passes=("sync_minimize",))
+            split_program(), split_all_session(skip_passes=("sync_minimize",))
         )
         for schedule in skipped.nest_schedules.values():
             assert schedule.sync_count == schedule.sync_count_unminimized
-        minimized = compile_program(split_program(), always_split_session())
+        minimized = compile_program(split_program(), split_all_session())
         for schedule in minimized.nest_schedules.values():
             assert schedule.sync_count <= schedule.sync_count_unminimized
 
     def test_skip_balance_disables_the_veto(self):
-        session = always_split_session(skip_passes=("balance",))
+        session = split_all_session(skip_passes=("balance",))
         partition = compile_program(split_program(), session)
         assert partition.movement >= 0  # compiles end to end
         balancer = LoadBalancer(4, enabled=False)
@@ -133,7 +135,7 @@ class TestPipelineRuns:
     @pytest.mark.parametrize("skip, placed", [((), True), (("profile",), False)])
     def test_skip_profile_leaves_mcdram_unplaced(self, skip, placed):
         """Only the profile pass records the profile that fills flat MCDRAM."""
-        session = always_split_session(skip_passes=skip)
+        session = split_all_session(skip_passes=skip)
         compile_program(split_program(), session)
         mcdram = session.machine.mcdram
         in_flat = [
@@ -144,7 +146,7 @@ class TestPipelineRuns:
         assert bool(in_flat) is placed
 
     def test_skipped_pass_does_not_accrue_time(self):
-        session = always_split_session(skip_passes=("sync_minimize",))
+        session = split_all_session(skip_passes=("sync_minimize",))
         with tracing() as tracer:
             compile_program(split_program(), session)
         assert set(tracer.seconds("pass.")) == set(DEFAULT_PASS_ORDER) - {
@@ -154,7 +156,7 @@ class TestPipelineRuns:
 
 class TestSessionLifecycle:
     def test_to_json_shape(self):
-        session = always_split_session(skip_passes=("balance",))
+        session = split_all_session(skip_passes=("balance",))
         blob = session.to_json()
         assert blob["pass_order"] == list(DEFAULT_PASS_ORDER)
         assert blob["skipped_passes"] == ["balance"]

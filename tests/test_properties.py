@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule, run_state_machine_as_test
 
 from repro.cache.sram import CacheConfig, SetAssocCache
-from repro.core.mst import kruskal, tree_weight
+from repro.core.mst import kruskal
 from repro.core.syncgraph import SyncGraph
 from repro.ir.expr import AffineIndex
 from repro.ir.nested_sets import build_operand_tree
@@ -50,7 +50,9 @@ class TestMstProperties:
                 min_size=count, max_size=count, unique=True,
             )
         )
-        edges = kruskal(vertices, mesh.distance)
+        edges = [
+            edge for _, _, edge in kruskal(vertices, {v: (v,) for v in vertices}, mesh.distance)
+        ]
         assert len(edges) == len(vertices) - 1
         # Connectivity via union-find replay.
         uf = UnionFind(vertices)
@@ -58,9 +60,10 @@ class TestMstProperties:
             uf.union(edge.a, edge.b)
         assert uf.set_count == 1
         # Never worse than any star.
+        weight = sum(edge.weight for edge in edges)
         for center in vertices:
             star = sum(mesh.distance(center, v) for v in vertices if v != center)
-            assert tree_weight(edges) <= star
+            assert weight <= star
 
 
 class TestUnionFindProperties:

@@ -41,6 +41,18 @@ def inline_loop(body="A(i) = B(i)", **fields):
     }
 
 
+def named_nests(*names):
+    """An inline-program request with one nest per entry of ``names``
+    (None: the nest takes its default name ``nest<k>``)."""
+    nests = []
+    for name in names:
+        nest = {"loops": [{"var": "i", "start": 0, "stop": 16}], "body": ["A(i) = B(i)"]}
+        if name is not None:
+            nest["name"] = name
+        nests.append(nest)
+    return {"program": {"arrays": {"A": 64, "B": 64}, "nests": nests}}
+
+
 def make_daemon(tmp_path, **overrides):
     options = {
         "workers": 0,
@@ -152,6 +164,9 @@ class TestHttpSurface:
                 }},
                 "reuses loop variable 'i'",
             ),
+            (named_nests("n", "n"), "nest #1 reuses nest name 'n'"),
+            (named_nests(None, "nest0"), "nest #1 reuses nest name 'nest0'"),
+            (named_nests("nest1", None), "nest #1 reuses nest name 'nest1'"),
         ],
     )
     def test_retired_execution_fields_are_400(
